@@ -1,26 +1,22 @@
-"""Hot-path benchmark: message-passing plan cache + vectorized training.
+"""Hot-path benchmark: message-passing plan + vectorized training.
 
-Runs GRIMP three times on the same corrupted dataset:
+Runs full-graph GRIMP twice on the same corrupted dataset, both on the
+precompiled message-passing plan:
 
-* ``legacy``  — plan disabled, float64: every ``sparse_matmul`` converts
-  per call, gathers go through fancy indexing with ``np.add.at``
-  scatter backward (the pre-plan hot path).
-* ``plan64``  — plan enabled, float64: identical numerics to ``legacy``
-  up to gradient summation order, zero conversions per epoch.
-* ``plan32``  — plan enabled, float32 (the training default).
+* ``plan64``  — float64: zero sparse conversions per epoch.
+* ``plan32``  — float32 (the training default).
 
-A fourth *allocation leg* runs ``plan32`` twice — workspace arena off,
+A third *allocation leg* runs ``plan32`` twice — workspace arena off,
 then on (``repro.tensor.arena``) — over enough epochs for the pool's
 steady state to dominate, and records the arena contract as metrics:
 bit-identical results (``arena.accuracy_delta``/``arena.rmse_delta``
 exactly ``0``), the pooled-allocation ratio (``arena.alloc_ratio``,
-roughly the epoch count), the off/on wall ratio, and the epoch
-speedup of the arena-enabled hot path over ``legacy``.
+roughly the epoch count) and the off/on wall ratio.
 
 Emits a machine-readable ``BENCH_hotpath.json`` with per-phase epoch
-breakdowns (forward/backward/step), imputation accuracy per run, and
-the speedups relative to ``legacy`` — so future PRs have a perf
-trajectory to compare against.  A schema-versioned run manifest
+breakdowns (forward/backward/step) and imputation accuracy per run.
+Absolute epoch times are informational; end-to-end fit time is gated
+by ``perfbench``.  A schema-versioned run manifest
 (``BENCH_hotpath_manifest.json``) is written next to it; the CI gate
 (``scripts/check_bench_regression.py``) ranges over its flat ``metrics``
 map.
@@ -64,11 +60,10 @@ PROFILES = {
               "arena": {"dataset": ("adult", 60), "epochs": 10}},
 }
 
-#: Hot-path variants benchmarked against each other.
+#: Hot-path variants benchmarked side by side.
 VARIANTS = {
-    "legacy": {"mp_plan": False, "dtype": "float64"},
-    "plan64": {"mp_plan": True, "dtype": "float64"},
-    "plan32": {"mp_plan": True, "dtype": "float32"},
+    "plan64": {"dtype": "float64"},
+    "plan32": {"dtype": "float32"},
 }
 
 
@@ -235,18 +230,6 @@ def main(argv: list[str] | None = None) -> int:
 
     summaries = {name: aggregate(records)
                  for name, records in runs.items()}
-    legacy_epoch = summaries["legacy"]["epoch_seconds"]
-    # The arena leg's speedup follows this benchmark's convention:
-    # epoch time relative to the legacy variant *on the same dataset*
-    # (the leg's own off/on ratio is reported separately — pooling is
-    # close to wall-neutral against a warm allocator; see
-    # docs/performance.md).
-    legacy_same_dataset = next(
-        record for record in runs["legacy"]
-        if record["dataset"] == arena_dataset)
-    arena["speedup_vs_legacy"] = (
-        legacy_same_dataset["epoch_seconds"]
-        / max(arena["on"]["epoch_seconds"], 1e-12))
     report = {
         "benchmark": "hotpath",
         "profile": profile_name,
@@ -255,18 +238,6 @@ def main(argv: list[str] | None = None) -> int:
         "runs": {name: {"per_dataset": records,
                         "summary": summaries[name]}
                  for name, records in runs.items()},
-        "speedup": {
-            name: legacy_epoch / summaries[name]["epoch_seconds"]
-            for name in VARIANTS if name != "legacy"
-        },
-        "accuracy_delta_vs_legacy": {
-            name: summaries[name]["accuracy"] - summaries["legacy"]["accuracy"]
-            for name in VARIANTS if name != "legacy"
-        },
-        "rmse_delta_vs_legacy": {
-            name: summaries[name]["rmse"] - summaries["legacy"]["rmse"]
-            for name in VARIANTS if name != "legacy"
-        },
         "train_conversions": {
             name: records[0]["train_conversions"]
             for name, records in runs.items()
@@ -280,15 +251,12 @@ def main(argv: list[str] | None = None) -> int:
     # merely records the latter, since wall times vary across runners.
     metrics: dict[str, float] = {}
     for name in VARIANTS:
-        if name != "legacy":
-            metrics[f"speedup.{name}"] = report["speedup"][name]
         metrics[f"accuracy.{name}"] = summaries[name]["accuracy"]
         metrics[f"epoch_ms.{name}"] = \
             summaries[name]["epoch_seconds"] * 1e3
         conversions = report["train_conversions"][name]
         metrics[f"train_conversions.{name}"] = \
             float(sum(conversions.values()))
-    metrics["speedup.arena"] = arena["speedup_vs_legacy"]
     metrics["arena.on_off_ratio"] = arena["on_off_ratio"]
     metrics["arena.alloc_ratio"] = arena["alloc_ratio"]
     metrics["arena.accuracy_delta"] = arena["accuracy_delta"]
@@ -302,12 +270,9 @@ def main(argv: list[str] | None = None) -> int:
          "profile": profile_name, "seed": args.seed},
         metrics=metrics), manifest_path)
 
-    print(f"\nepoch time  legacy={legacy_epoch * 1e3:.1f} ms  "
+    print(f"\nepoch time  "
           f"plan64={summaries['plan64']['epoch_seconds'] * 1e3:.1f} ms  "
           f"plan32={summaries['plan32']['epoch_seconds'] * 1e3:.1f} ms")
-    print(f"speedup     plan64={report['speedup']['plan64']:.2f}x  "
-          f"plan32={report['speedup']['plan32']:.2f}x  "
-          f"arena={arena['speedup_vs_legacy']:.2f}x")
     print(f"arena       on/off={arena['on_off_ratio']:.2f}x  "
           f"alloc_ratio={arena['alloc_ratio']:.1f}x  "
           f"accuracy_delta={arena['accuracy_delta']:.3g}  "

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..data import MISSING, NumericNormalizer, Table
 from ..embeddings import initialize_node_features
-from ..gnn import column_adjacencies
+from ..gnn import MessagePassingPlan, column_adjacencies
 from ..graph import build_table_graph
 from ..imputation import Imputer
 from ..nn import Adam, Linear, Module
@@ -89,7 +89,12 @@ class GnnMcImputer(Imputer):
         features = initialize_node_features(
             table_graph, normalized, strategy=self.feature_strategy,
             dim=self.feature_dim, seed=self.seed)
-        adjacencies = column_adjacencies(table_graph)
+        raw_adjacencies = column_adjacencies(table_graph)
+        # At the matrices' own dtype, not the engine default, so the
+        # products do not depend on the process-wide default dtype.
+        adjacencies = MessagePassingPlan(
+            raw_adjacencies,
+            dtype=next(iter(raw_adjacencies.values())).dtype)
         feature_tensor = Tensor(features.node_vectors)
 
         train_cells, targets = [], []

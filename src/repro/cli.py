@@ -74,12 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "checkpoints record it")
     impute.add_argument("--batch-size", type=int, default=None,
                         help="training samples per optimizer step "
-                             "(grimp-* only; default: full batch)")
+                             "(grimp-* only; default: full-graph "
+                             "training)")
     impute.add_argument("--fanout", type=int, default=None,
                         help="neighbors sampled per node per hop for "
                              "minibatch training (grimp-* only; requires "
-                             "--batch-size; 0 = exact neighborhoods, "
-                             "default: full-graph training)")
+                             "--batch-size; default 0 = exact "
+                             "neighborhoods)")
     impute.add_argument("--dp-shards", type=int, default=None,
                         help="data-parallel shards per training epoch "
                              "(grimp-* only; requires --fanout; results "

@@ -57,15 +57,17 @@ class GrimpConfig:
     corpus_fraction: float = 1.0
     #: Adam learning rate.
     lr: float = 5e-3
-    #: Training samples per step within each task; ``None`` = full batch.
-    #: Minibatching bounds per-epoch memory on paper-size tables.
+    #: Training samples per step within each task; ``None`` = full-graph
+    #: training.  Minibatches always run on the sampled path
+    #: (:mod:`repro.sampling`), which bounds per-step memory on
+    #: paper-size tables.
     batch_size: int | None = None
-    #: Neighbors sampled per node per edge type per hop
-    #: (:mod:`repro.sampling`).  ``None`` keeps the full-graph paths;
-    #: ``0`` minibatches over *exact* (unbounded) neighborhoods — the
-    #: golden-parity setting; ``k >= 1`` draws ``k`` weighted neighbors
-    #: per hop, bounding per-step memory independently of table size.
-    #: Requires ``batch_size``.
+    #: Neighbors sampled per node per edge type per hop.  ``None`` and
+    #: ``0`` both minibatch over *exact* (unbounded) neighborhoods — bit
+    #: for bit the full-graph forward and gradient at float64;
+    #: ``k >= 1`` draws ``k`` weighted neighbors per hop, bounding
+    #: per-step memory independently of table size.  Requires
+    #: ``batch_size``.
     fanout: int | None = None
     #: LRU capacity of the compiled-plan cache for sampled subgraphs.
     plan_cache_size: int = 16
@@ -85,10 +87,6 @@ class GrimpConfig:
     #: Training dtype: "float32" (default, ~2x faster on the dense hot
     #: path) or "float64" (bit-compatible with the original engine).
     dtype: str = "float32"
-    #: Precompile the message-passing plan (cached CSR forward/backward
-    #: operators and gather matrices).  Disable only to reproduce the
-    #: legacy per-call-conversion path, e.g. for benchmarking.
-    mp_plan: bool = True
     #: Random seed for initialization, splits, and feature init.
     seed: int = 0
     #: Extra keyword arguments for the EmbDI embedder (GRIMP-E).

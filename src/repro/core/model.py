@@ -18,8 +18,9 @@ target and at missing cells (Figure 4's ``(0)`` entries).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
-from scipy import sparse
 
 from ..data import MISSING, Table
 from ..graph import TableGraph
@@ -53,7 +54,7 @@ class SharedLayer(Module):
         self.merge2 = Linear(merge_dim, merge_dim, rng=rng)
         self.output_dim = merge_dim
 
-    def forward(self, adjacencies: dict[str, sparse.spmatrix],
+    def forward(self, adjacencies: Mapping[str, PlannedOperator],
                 features: Tensor) -> Tensor:
         hidden = self.gnn(adjacencies, features)
         combined = concat([hidden, features], axis=1)
@@ -111,7 +112,8 @@ class GrimpModel(Module):
                     fd_columns=fd_related.get(column), rng=rng)
 
     # ------------------------------------------------------------------
-    def node_representations(self, adjacencies: dict[str, sparse.spmatrix],
+    def node_representations(self,
+                             adjacencies: Mapping[str, PlannedOperator],
                              features: Tensor) -> Tensor:
         """Shared-section output ``h`` for every graph node, with a
         trailing all-zero row for null lookups (index ``n_nodes``)."""

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from ..data import MISSING, NumericNormalizer, Table, TableEncoder
+from ..data import NumericNormalizer, Table, TableEncoder
 from ..distributed import (DataParallelTrainer, batch_loss, sample_batch,
                            subgraph_vectors, train_shard)
 from ..embeddings import initialize_node_features
@@ -25,12 +25,12 @@ from ..nn import Adam, EarlyStopping, Parameter
 from ..sampling import (FrozenGraph, MinibatchIterator, NeighborSampler,
                         SubgraphPlanCache, contiguous_batches)
 from ..telemetry import Tracer
-from ..tensor import (Tensor, Workspace, arena_enabled, cross_entropy,
-                      focal_loss, mse_loss, no_grad, use_workspace)
+from ..tensor import (Tensor, Workspace, arena_enabled, no_grad,
+                      use_workspace)
 from .config import GrimpConfig
 from .corpus import build_training_corpus, samples_by_task, split_corpus
-from .model import (GrimpModel, build_node_index_matrix, build_row_indices,
-                    build_sample_indices)
+from .fill import Predict, fill_missing
+from .model import GrimpModel, build_node_index_matrix, build_sample_indices
 
 __all__ = ["GrimpImputer", "FittedArtifacts"]
 
@@ -149,18 +149,31 @@ class GrimpImputer(Imputer):
     # ------------------------------------------------------------------
     def impute(self, dirty: Table) -> Table:
         """Train on the dirty table itself and fill every missing cell."""
+        return self._fit_and_fill(dirty)
+
+    def _fit_and_fill(self, dirty: Table,
+                      scores: dict[tuple[int, str], float] | None = None
+                      ) -> Table:
+        """Fit on ``dirty`` and fill it (see :func:`fill_missing` for
+        ``scores``).
+
+        Two training paths: full-graph (``batch_size`` unset) and
+        sampled minibatch (``batch_size`` set; without ``fanout`` the
+        neighborhoods are exact, i.e. ``fanout=0``), the latter serial or
+        data-parallel.
+        """
         config = self.config
         rng = np.random.default_rng(config.seed)
         dtype = np.dtype(config.dtype)
         started = time.perf_counter()
         tracer = Tracer()
         self.trace_ = tracer
-        use_sampling = config.fanout is not None
+        use_sampling = config.batch_size is not None
+        fanout = 0 if config.fanout is None else config.fanout
         use_dp = use_sampling and config.dp_shards is not None
-        meta: dict[str, object] = {"dtype": config.dtype,
-                                   "mp_plan": config.mp_plan}
+        meta: dict[str, object] = {"dtype": config.dtype}
         if use_sampling:
-            meta["sampling"] = {"fanout": config.fanout,
+            meta["sampling"] = {"fanout": fanout,
                                 "batch_size": config.batch_size}
 
         # Activating the tracer routes detail spans (GNN layers, sparse
@@ -202,26 +215,22 @@ class GrimpImputer(Imputer):
                 raw_adjacencies = column_adjacencies(table_graph,
                                                      normalization="row",
                                                      edge_types=edge_types)
-                adjacencies = raw_adjacencies
-                if config.mp_plan:
-                    # Compile every constant sparse operator once; the
-                    # epoch loop below then runs conversion-free.  In
-                    # sampled mode the full-graph plan only serves
-                    # post-fit inference helpers, so its transposes are
-                    # left to lazy construction.
-                    adjacencies = MessagePassingPlan(
-                        raw_adjacencies, dtype=dtype,
-                        build_backward=not use_sampling)
+                # Compile every constant sparse operator once; the epoch
+                # loop below then runs conversion-free.  In sampled mode
+                # the full-graph plan only serves post-fit inference, so
+                # its transposes are left to lazy construction.
+                adjacencies = MessagePassingPlan(
+                    raw_adjacencies, dtype=dtype,
+                    build_backward=not use_sampling)
             sampler = None
             self.plan_cache_: SubgraphPlanCache | None = None
             if use_sampling:
                 with tracer.span("freeze"):
                     frozen = FrozenGraph.freeze(raw_adjacencies,
                                                 dtype=dtype)
-                    sampler = NeighborSampler(frozen, fanout=config.fanout)
-                    if config.mp_plan:
-                        self.plan_cache_ = SubgraphPlanCache(
-                            config.plan_cache_size, dtype=dtype)
+                    sampler = NeighborSampler(frozen, fanout=fanout)
+                    self.plan_cache_ = SubgraphPlanCache(
+                        config.plan_cache_size, dtype=dtype)
 
             encoders = TableEncoder(normalized)
             cardinalities = {column: encoders.cardinality(column)
@@ -247,9 +256,8 @@ class GrimpImputer(Imputer):
                                                       table_graph)
                 # Gather operators pay off only when the same index
                 # matrix is replayed every epoch (full-batch training).
-                gather_rows = table_graph.graph.n_nodes + 1 \
-                    if config.mp_plan and config.batch_size is None \
-                    else None
+                gather_rows = None if use_sampling \
+                    else table_graph.graph.n_nodes + 1
                 train_data = self._task_data(
                     normalized, table_graph, encoders, train_samples,
                     node_matrix=node_matrix, gather_rows=gather_rows,
@@ -308,8 +316,7 @@ class GrimpImputer(Imputer):
                 self._train_loop(
                     model, optimizer, dp, sampler, adjacencies,
                     feature_tensor, train_data, validation_data,
-                    iterator, null_index, stopper, tracer, rng,
-                    use_sampling)
+                    iterator, null_index, stopper, tracer)
             finally:
                 if dp is not None:
                     dp.close()
@@ -320,9 +327,7 @@ class GrimpImputer(Imputer):
                 for kind in conversions_after}
             if use_sampling:
                 meta["sampling"]["n_batches"] = iterator.n_batches
-                if self.plan_cache_ is not None:
-                    meta["sampling"]["plan_cache"] = \
-                        self.plan_cache_.stats()
+                meta["sampling"]["plan_cache"] = self.plan_cache_.stats()
                 if dp is not None and dp.last_plan_cache:
                     meta["sampling"]["dp"]["plan_caches"] = \
                         dp.last_plan_cache
@@ -342,15 +347,14 @@ class GrimpImputer(Imputer):
                 node_matrix=node_matrix)
             with tracer.span("fill"):
                 if use_sampling:
-                    imputed = self._fill_sampled(
-                        dirty, normalized, normalizer, model, table_graph,
-                        sampler, feature_tensor, encoders,
-                        node_matrix=node_matrix, null_index=null_index)
+                    predict = self._sampled_predict(model, sampler,
+                                                    feature_tensor,
+                                                    null_index)
                 else:
-                    imputed = self._fill(dirty, normalized, normalizer,
-                                         model, table_graph, adjacencies,
-                                         feature_tensor, encoders,
-                                         node_matrix=node_matrix)
+                    predict = _graph_predict(model, adjacencies,
+                                             feature_tensor)
+                imputed = fill_missing(dirty, node_matrix, predict,
+                                       encoders, normalizer, scores)
         self.train_seconds_ = time.perf_counter() - started
         report = {path: {"seconds": entry["seconds"],
                          "count": entry["count"]}
@@ -363,9 +367,8 @@ class GrimpImputer(Imputer):
 
     def _train_loop(self, model, optimizer, dp, sampler, adjacencies,
                     feature_tensor, train_data, validation_data, iterator,
-                    null_index, stopper, tracer, rng,
-                    use_sampling) -> None:
-        """The epoch loop shared by every training mode.
+                    null_index, stopper, tracer) -> None:
+        """The epoch loop shared by both training paths.
 
         Tracks the best validation state in ``self._best_state`` so the
         caller can restore it after the (possibly pooled) loop winds
@@ -382,12 +385,12 @@ class GrimpImputer(Imputer):
                 with tracer.span("epoch", epoch=epoch) as epoch_span:
                     if dp is not None:
                         epoch_loss = dp.run_epoch(epoch, tracer)
-                    elif use_sampling:
+                    elif sampler is not None:
                         epoch_loss = self._sampled_epoch(
                             model, optimizer, sampler, feature_tensor,
                             train_data, iterator, epoch, null_index,
                             tracer)
-                    elif config.batch_size is None:
+                    else:
                         with use_workspace(self.workspace_):
                             optimizer.zero_grad()
                             with tracer.span("forward"):
@@ -405,14 +408,9 @@ class GrimpImputer(Imputer):
                             epoch_loss = train_loss.item()
                         if self.workspace_ is not None:
                             self.workspace_.reset()
-                    else:
-                        epoch_loss = self._minibatch_epoch(
-                            model, optimizer, adjacencies,
-                            feature_tensor, train_data,
-                            config.batch_size, rng, tracer)
 
                     with tracer.span("validate"):
-                        if use_sampling:
+                        if sampler is not None:
                             validation_loss = self._evaluate_sampled(
                                 model, sampler, feature_tensor,
                                 validation_data, null_index)
@@ -439,7 +437,8 @@ class GrimpImputer(Imputer):
     @property
     def train_conversions_(self) -> dict[str, int]:
         """Sparse-format conversions that ran inside the last epoch loop
-        (``{"tocsr": 0, "transpose": 0}`` when the plan is active)."""
+        (``{"tocsr": 0, "transpose": 0}``: the plan compiles every
+        operator before the loop)."""
         meta = self.timings_.get("meta", {})
         return dict(meta.get("train_conversions", {}))
 
@@ -447,41 +446,14 @@ class GrimpImputer(Imputer):
                            ) -> tuple[Table, dict[tuple[int, str], float]]:
         """Impute and also return a confidence per filled cell.
 
-        Categorical confidence is the softmax probability of the chosen
+        Categorical confidence is the softmax probability of the written
         value; numerical cells report 1.0 (point regression has no
-        calibrated uncertainty).  Useful for "review the low-confidence
-        imputations" workflows.
+        calibrated uncertainty).  The scores come from the same fill
+        pass that wrote the cells.  Useful for "review the
+        low-confidence imputations" workflows.
         """
-        imputed = self.impute(dirty)
-        artifacts = self._artifacts
         scores: dict[tuple[int, str], float] = {}
-        model = artifacts.model
-        model.eval()
-        normalized = artifacts.normalizer.transform(dirty)
-        with no_grad():
-            h_extended = model.node_representations(
-                artifacts.adjacencies, artifacts.feature_tensor)
-            by_column: dict[str, list[int]] = {}
-            for row, column in dirty.missing_cells():
-                by_column.setdefault(column, []).append(row)
-            for column, rows in by_column.items():
-                indices = build_row_indices(normalized,
-                                            artifacts.table_graph, rows,
-                                            node_matrix=artifacts.node_matrix)
-                vectors = model.training_vectors(h_extended, indices)
-                output = model.task_output(column, vectors).data
-                if dirty.is_categorical(column):
-                    if artifacts.encoders.cardinality(column) == 0:
-                        continue
-                    shifted = output - output.max(axis=1, keepdims=True)
-                    probabilities = np.exp(shifted)
-                    probabilities /= probabilities.sum(axis=1, keepdims=True)
-                    best = probabilities.max(axis=1)
-                    for row, confidence in zip(rows, best):
-                        scores[(row, column)] = float(confidence)
-                else:
-                    for row in rows:
-                        scores[(row, column)] = 1.0
+        imputed = self._fit_and_fill(dirty, scores)
         return imputed, scores
 
     # ------------------------------------------------------------------
@@ -507,39 +479,12 @@ class GrimpImputer(Imputer):
             raise ValueError("schema mismatch with the training table")
 
         normalized = artifacts.normalizer.transform(new_dirty)
-        imputed = new_dirty.copy()
-        missing = new_dirty.missing_cells()
-        if not missing:
-            return imputed
-        model = artifacts.model
-        model.eval()
-        with no_grad():
-            h_extended = model.node_representations(
-                artifacts.adjacencies, artifacts.feature_tensor)
-            node_matrix = build_node_index_matrix(normalized,
-                                                  artifacts.table_graph)
-            by_column: dict[str, list[int]] = {}
-            for row, column in missing:
-                by_column.setdefault(column, []).append(row)
-            for column, rows in by_column.items():
-                indices = build_row_indices(normalized,
-                                            artifacts.table_graph, rows,
-                                            node_matrix=node_matrix)
-                vectors = model.training_vectors(h_extended, indices)
-                output = model.task_output(column, vectors).data
-                if new_dirty.is_categorical(column):
-                    if artifacts.encoders.cardinality(column) == 0:
-                        continue
-                    for row, code in zip(rows, output.argmax(axis=1)):
-                        imputed.set(row, column,
-                                    artifacts.encoders[column].decode(
-                                        int(code)))
-                else:
-                    for row, value in zip(rows, output.reshape(-1)):
-                        imputed.set(row, column,
-                                    artifacts.normalizer.inverse_value(
-                                        column, float(value)))
-        return imputed
+        node_matrix = build_node_index_matrix(normalized,
+                                              artifacts.table_graph)
+        predict = _graph_predict(artifacts.model, artifacts.adjacencies,
+                                 artifacts.feature_tensor)
+        return fill_missing(new_dirty, node_matrix, predict,
+                            artifacts.encoders, artifacts.normalizer)
 
     # ------------------------------------------------------------------
     # Checkpointing (implemented in repro.serve.checkpoint; imported
@@ -605,53 +550,6 @@ class GrimpImputer(Imputer):
             data[column] = _TaskData(indices, targets, gather=gather)
         return data
 
-    def _minibatch_epoch(self, model: GrimpModel, optimizer: Adam,
-                         adjacencies, feature_tensor: Tensor,
-                         data: dict[str, _TaskData], batch_size: int,
-                         rng: np.random.Generator,
-                         tracer: Tracer | None = None) -> float:
-        """One epoch of single-task minibatch steps (shuffled chunks).
-
-        Each step recomputes the GNN forward (its activations cannot be
-        reused across backward passes) but touches only ``batch_size``
-        training vectors, bounding per-step memory.
-        """
-        tracer = tracer if tracer is not None else Tracer()
-        chunks: list[tuple[str, np.ndarray]] = []
-        for column, task_data in data.items():
-            order = rng.permutation(task_data.n)
-            for start in range(0, task_data.n, batch_size):
-                chunks.append((column, order[start:start + batch_size]))
-        rng.shuffle(chunks)
-
-        total, steps = 0.0, 0
-        for column, rows in chunks:
-            task_data = data[column]
-            with use_workspace(self.workspace_):
-                optimizer.zero_grad()
-                with tracer.span("forward"):
-                    h_extended = model.node_representations(adjacencies,
-                                                            feature_tensor)
-                    vectors = model.training_vectors(
-                        h_extended, task_data.indices[rows])
-                    output = model.task_output(column, vectors)
-                    if model.kinds[column] == "categorical":
-                        loss = self._categorical_loss(
-                            output, task_data.targets[rows])
-                    else:
-                        loss = mse_loss(output.reshape(rows.size),
-                                        task_data.targets[rows])
-                with tracer.span("backward"):
-                    loss.backward()
-                with tracer.span("step"):
-                    optimizer.clip_grad_norm(5.0)
-                    optimizer.step()
-                total += loss.item()
-            if self.workspace_ is not None:
-                self.workspace_.reset()
-            steps += 1
-        return total / max(1, steps)
-
     # ------------------------------------------------------------------
     # Sampled training (repro.sampling): each step runs message passing
     # over a compact sampled subgraph instead of the whole graph, so
@@ -660,26 +558,6 @@ class GrimpImputer(Imputer):
     # repro.distributed.shard and is shared verbatim with the
     # data-parallel shard workers — dp_shards=1 parity is structural.
     # ------------------------------------------------------------------
-    def _sample_batch(self, sampler: NeighborSampler, model: GrimpModel,
-                      indices: np.ndarray, null_index: int,
-                      rng: np.random.Generator, tracer: Tracer):
-        """Sample a batch's subgraph and compile (or fetch) its plan."""
-        return sample_batch(sampler, self.plan_cache_,
-                            model.shared.gnn.n_layers, indices,
-                            null_index, rng, tracer)
-
-    def _subgraph_vectors(self, model: GrimpModel, subgraph, operators,
-                          feature_tensor: Tensor,
-                          indices: np.ndarray, null_index: int) -> Tensor:
-        """Training vectors for a batch from its sampled subgraph."""
-        return subgraph_vectors(model, subgraph, operators,
-                                feature_tensor, indices, null_index)
-
-    def _batch_loss(self, model: GrimpModel, column: str, vectors: Tensor,
-                    targets: np.ndarray) -> Tensor:
-        return batch_loss(model, column, vectors, targets,
-                          self.config.categorical_loss)
-
     def _sampled_epoch(self, model: GrimpModel, optimizer: Adam,
                        sampler: NeighborSampler, feature_tensor: Tensor,
                        data: dict[str, _TaskData],
@@ -721,6 +599,7 @@ class GrimpImputer(Imputer):
         model.eval()
         seed_root = np.random.SeedSequence([self.config.seed, 0x56A1])
         silent = Tracer()
+        n_layers = model.shared.gnn.n_layers
         total = 0.0
         with no_grad():
             for column, task_data in data.items():
@@ -729,84 +608,58 @@ class GrimpImputer(Imputer):
                                                 self.config.batch_size):
                     (chunk_seed,) = seed_root.spawn(1)
                     indices = task_data.indices[chunk]
-                    subgraph, operators = self._sample_batch(
-                        sampler, model, indices, null_index,
-                        np.random.default_rng(chunk_seed), silent)
+                    subgraph, operators = sample_batch(
+                        sampler, self.plan_cache_, n_layers, indices,
+                        null_index, np.random.default_rng(chunk_seed),
+                        silent)
                     # Like training batches, only a plan that proved
                     # it recurs (and so carries an arena) pools its
                     # buffers; one-off chunk shapes allocate normally
                     # to keep the sampled memory budget honest.
                     arena = getattr(operators, "arena", None)
                     with use_workspace(arena):
-                        vectors = self._subgraph_vectors(
+                        vectors = subgraph_vectors(
                             model, subgraph, operators, feature_tensor,
                             indices, null_index)
-                        loss = self._batch_loss(model, column, vectors,
-                                                task_data.targets[chunk])
+                        loss = batch_loss(model, column, vectors,
+                                          task_data.targets[chunk],
+                                          self.config.categorical_loss)
                         task_total += loss.item() * chunk.size
                     if arena is not None:
                         arena.reset()
                 total += task_total / task_data.n
         return total
 
-    def _fill_sampled(self, dirty: Table, normalized: Table,
-                      normalizer: NumericNormalizer, model: GrimpModel,
-                      table_graph, sampler: NeighborSampler,
-                      feature_tensor: Tensor, encoders: TableEncoder,
-                      node_matrix: np.ndarray | None,
-                      null_index: int) -> Table:
-        """Impute missing cells through batched sampled subgraphs.
+    def _sampled_predict(self, model: GrimpModel, sampler: NeighborSampler,
+                         feature_tensor: Tensor, null_index: int) -> Predict:
+        """``predict`` through batched sampled subgraphs.
 
-        Functionally :meth:`_fill`, but never materializes a full-graph
-        forward pass — imputation stays within the same memory envelope
-        as sampled training.
+        Never materializes a full-graph forward pass — imputation stays
+        within the same memory envelope as sampled training.  Chunk
+        seeds spawn from a fixed root in fill order, so the fill is
+        deterministic for a given ``config.seed``.
         """
-        imputed = dirty.copy()
-        missing = dirty.missing_cells()
-        if not missing:
-            return imputed
         model.eval()
         seed_root = np.random.SeedSequence([self.config.seed, 0xF111])
         silent = Tracer()
-        with no_grad():
-            by_column: dict[str, list[int]] = {}
-            for row, column in missing:
-                by_column.setdefault(column, []).append(row)
-            for column, rows in by_column.items():
-                if dirty.is_categorical(column) and \
-                        encoders.cardinality(column) == 0:
-                    continue  # no observed domain to impute from
-                indices = build_row_indices(normalized, table_graph, rows,
-                                            node_matrix=node_matrix)
-                outputs = []
-                for chunk in contiguous_batches(len(rows),
-                                                self.config.batch_size):
-                    (chunk_seed,) = seed_root.spawn(1)
-                    chunk_indices = indices[chunk]
-                    subgraph, operators = self._sample_batch(
-                        sampler, model, chunk_indices, null_index,
-                        np.random.default_rng(chunk_seed), silent)
-                    vectors = self._subgraph_vectors(
-                        model, subgraph, operators, feature_tensor,
-                        chunk_indices, null_index)
-                    outputs.append(model.task_output(column,
-                                                     vectors).data)
-                output = np.concatenate(outputs, axis=0)
-                if dirty.is_categorical(column):
-                    for row, code in zip(rows, output.argmax(axis=1)):
-                        imputed.set(row, column,
-                                    encoders[column].decode(int(code)))
-                else:
-                    for row, value in zip(rows, output.reshape(-1)):
-                        imputed.set(row, column,
-                                    normalizer.inverse_value(column,
-                                                             float(value)))
-        return imputed
+        n_layers = model.shared.gnn.n_layers
 
-    def _categorical_loss(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        if self.config.categorical_loss == "focal":
-            return focal_loss(logits, targets)
-        return cross_entropy(logits, targets)
+        def predict(column: str, indices: np.ndarray) -> np.ndarray:
+            outputs = []
+            for chunk in contiguous_batches(indices.shape[0],
+                                            self.config.batch_size):
+                (chunk_seed,) = seed_root.spawn(1)
+                chunk_indices = indices[chunk]
+                subgraph, operators = sample_batch(
+                    sampler, self.plan_cache_, n_layers, chunk_indices,
+                    null_index, np.random.default_rng(chunk_seed), silent)
+                vectors = subgraph_vectors(model, subgraph, operators,
+                                           feature_tensor, chunk_indices,
+                                           null_index)
+                outputs.append(model.task_output(column, vectors).data)
+            return np.concatenate(outputs, axis=0)
+
+        return predict
 
     def _total_loss(self, model: GrimpModel, h_extended: Tensor,
                     data: dict[str, _TaskData]) -> Tensor:
@@ -814,12 +667,8 @@ class GrimpImputer(Imputer):
         for column, task_data in data.items():
             vectors = model.training_vectors(h_extended, task_data.indices,
                                              gather=task_data.gather)
-            output = model.task_output(column, vectors)
-            if model.kinds[column] == "categorical":
-                loss = self._categorical_loss(output, task_data.targets)
-            else:
-                loss = mse_loss(output.reshape(task_data.n),
-                                task_data.targets)
+            loss = batch_loss(model, column, vectors, task_data.targets,
+                              self.config.categorical_loss)
             total = loss if total is None else total + loss
         if total is None:
             raise RuntimeError("no training samples — is the table empty?")
@@ -838,37 +687,18 @@ class GrimpImputer(Imputer):
             self.workspace_.reset()
         return loss
 
-    def _fill(self, dirty: Table, normalized: Table,
-              normalizer: NumericNormalizer, model: GrimpModel,
-              table_graph, adjacencies, feature_tensor,
-              encoders: TableEncoder,
-              node_matrix: np.ndarray | None = None) -> Table:
-        imputed = dirty.copy()
-        missing = dirty.missing_cells()
-        if not missing:
-            return imputed
-        model.eval()
-        with no_grad():
-            h_extended = model.node_representations(adjacencies,
-                                                    feature_tensor)
-            by_column: dict[str, list[int]] = {}
-            for row, column in missing:
-                by_column.setdefault(column, []).append(row)
-            for column, rows in by_column.items():
-                indices = build_row_indices(normalized, table_graph, rows,
-                                            node_matrix=node_matrix)
-                vectors = model.training_vectors(h_extended, indices)
-                output = model.task_output(column, vectors).data
-                if dirty.is_categorical(column):
-                    if encoders.cardinality(column) == 0:
-                        continue  # no observed domain to impute from
-                    predictions = output.argmax(axis=1)
-                    for row, code in zip(rows, predictions):
-                        imputed.set(row, column,
-                                    encoders[column].decode(int(code)))
-                else:
-                    for row, value in zip(rows, output.reshape(-1)):
-                        imputed.set(row, column,
-                                    normalizer.inverse_value(column,
-                                                             float(value)))
-        return imputed
+
+def _graph_predict(model: GrimpModel, adjacencies,
+                   feature_tensor: Tensor) -> Predict:
+    """``predict`` over one full-graph forward, run on first use."""
+    model.eval()
+    pinned: list[Tensor] = []
+
+    def predict(column: str, indices: np.ndarray) -> np.ndarray:
+        if not pinned:
+            pinned.append(model.node_representations(adjacencies,
+                                                     feature_tensor))
+        vectors = model.training_vectors(pinned[0], indices)
+        return model.task_output(column, vectors).data
+
+    return predict

@@ -4,8 +4,8 @@ One implementation of sample -> compile -> forward -> backward -> step
 serves both execution modes:
 
 * the serial sampled path (:meth:`repro.core.GrimpImputer.impute` with
-  ``fanout`` set and no ``dp_shards``) calls :func:`train_shard` once
-  per epoch with the whole batch list;
+  ``batch_size`` set and no ``dp_shards``) calls :func:`train_shard`
+  once per epoch with the whole batch list;
 * data-parallel shard workers (:mod:`repro.distributed.worker`) call it
   with their shard's batch subset.
 
@@ -44,8 +44,7 @@ def sample_batch(sampler, plan_cache, n_layers: int, indices: np.ndarray,
     with tracer.span("sample"):
         subgraph = sampler.sample(seeds, n_layers, rng)
     with tracer.span("compile"):
-        operators = plan_cache.get(subgraph) if plan_cache is not None \
-            else subgraph.adjacencies
+        operators = plan_cache.get(subgraph)
     return subgraph, operators
 
 

@@ -77,8 +77,7 @@ def dp_worker_init(views, payload) -> dict:
         else Tensor(views["dp_features"])
     frozen = FrozenGraph.from_arrays(payload["edge_types"], views)
     sampler = NeighborSampler(frozen, fanout=config.fanout)
-    plan_cache = SubgraphPlanCache(config.plan_cache_size, dtype=dtype) \
-        if config.mp_plan else None
+    plan_cache = SubgraphPlanCache(config.plan_cache_size, dtype=dtype)
     optimizer = Adam(model.parameters(), lr=config.lr)
     data = [(views[f"dp_task{task}_indices"],
              views[f"dp_task{task}_targets"])

@@ -11,6 +11,8 @@ column while modeling each node's feature representation".
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 from scipy import sparse
 
@@ -19,6 +21,7 @@ from ..nn import Module
 from ..telemetry import detail_span
 from ..tensor import Tensor, concat, stack
 from .layers import GCNLayer, GraphSAGELayer
+from .plan import PlannedOperator
 from .sparse import sparse_matmul
 
 __all__ = ["HeteroGNNLayer", "HeteroGNN", "column_adjacencies", "LAYER_TYPES"]
@@ -56,8 +59,9 @@ class HeteroGNNLayer(Module):
         sub-modules or a per-column mapping, reflecting the paper's note
         that "each submodule can use a different GNN architecture".
         When mixing types, pass each sub-module the adjacency matching
-        its :meth:`normalization` (build one dict per normalization via
-        :func:`column_adjacencies`); a single shared dict is only
+        its :meth:`normalization` (compile one
+        :class:`~repro.gnn.MessagePassingPlan` per normalization from
+        :func:`column_adjacencies`); a single shared plan is only
         correct when all sub-modules agree.
     aggregate:
         The :math:`\\gamma` combinator: ``"mean"`` or ``"sum"``.
@@ -87,7 +91,7 @@ class HeteroGNNLayer(Module):
         """Adjacency normalization expected by a column's sub-module."""
         return self.submodules[column].normalization
 
-    def forward(self, adjacencies: dict[str, sparse.spmatrix],
+    def forward(self, adjacencies: Mapping[str, PlannedOperator],
                 features: Tensor) -> Tensor:
         submodules = [self.submodules[column] for column in self.columns]
         # Homogeneous sub-module stacks run through fused weight
@@ -172,7 +176,7 @@ class HeteroGNN(Module):
         return {layer.normalization(column)
                 for layer in self.layers for column in layer.columns}
 
-    def forward(self, adjacencies: dict[str, sparse.spmatrix],
+    def forward(self, adjacencies: Mapping[str, PlannedOperator],
                 features: Tensor) -> Tensor:
         hidden = features
         for index, layer in enumerate(self.layers):

@@ -9,10 +9,10 @@ heterogeneous wrapper can mix them.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from ..nn import Module, Linear
 from ..tensor import Tensor
+from .plan import PlannedOperator
 from .sparse import sparse_matmul
 
 __all__ = ["GraphSAGELayer", "GCNLayer"]
@@ -38,7 +38,7 @@ class GraphSAGELayer(Module):
         self.self_linear = Linear(in_dim, out_dim, rng=rng)
         self.neighbor_linear = Linear(in_dim, out_dim, bias=False, rng=rng)
 
-    def forward(self, adjacency: sparse.spmatrix, features: Tensor) -> Tensor:
+    def forward(self, adjacency: PlannedOperator, features: Tensor) -> Tensor:
         aggregated = sparse_matmul(adjacency, features)
         return self.self_linear(features) + self.neighbor_linear(aggregated)
 
@@ -57,5 +57,5 @@ class GCNLayer(Module):
         self.out_dim = out_dim
         self.linear = Linear(in_dim, out_dim, rng=rng)
 
-    def forward(self, adjacency: sparse.spmatrix, features: Tensor) -> Tensor:
+    def forward(self, adjacency: PlannedOperator, features: Tensor) -> Tensor:
         return self.linear(sparse_matmul(adjacency, features))

@@ -41,8 +41,7 @@ def _resolve_dtype(dtype) -> np.dtype:
     """
     return get_default_dtype() if dtype is None else np.dtype(dtype)
 
-#: Running totals of sparse-format conversions performed by this module
-#: and by :func:`repro.gnn.sparse.sparse_matmul`'s legacy path.
+#: Running totals of sparse-format conversions performed by this module.
 CONVERSION_COUNTS = {"tocsr": 0, "transpose": 0}
 
 #: Telemetry counters mirroring the conversion totals plus plan-compile

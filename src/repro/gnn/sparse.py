@@ -4,16 +4,12 @@ GNN message passing multiplies node features by a (fixed) normalized
 adjacency matrix; only the features carry gradients, so the backward
 pass is simply ``A.T @ grad``.
 
-Two call styles are supported:
-
-* **Planned** — pass a :class:`~repro.gnn.plan.PlannedOperator` (usually
-  via a :class:`~repro.gnn.plan.MessagePassingPlan`): the CSR forward
-  and transposed backward operators were compiled once per fit, so no
-  format conversion happens per call.
-* **Legacy** — pass any scipy sparse matrix: conversions happen per
-  call (and are counted in :data:`~repro.gnn.plan.CONVERSION_COUNTS`).
-  The transpose is built *lazily*, only if a gradient actually flows, so
-  inference never holds a transposed copy alive.
+The matrix is a :class:`~repro.gnn.plan.PlannedOperator` (usually from
+a :class:`~repro.gnn.plan.MessagePassingPlan`): its CSR forward and
+transposed backward operators are compiled once per fit, so no format
+conversion happens per call.  An operator compiled without its backward
+builds the transpose lazily, only if a gradient actually flows, so
+inference never holds a transposed copy alive.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from scipy import sparse
 
 from ..telemetry import counter, detail_span
 from ..tensor import Tensor, is_grad_enabled
-from .plan import PlannedOperator, count_conversion
+from .plan import PlannedOperator
 
 try:  # scipy's typed CSR kernel: Y += A @ X into a caller-owned buffer
     from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
@@ -60,43 +56,28 @@ def _spmm(matrix: sparse.csr_matrix, x: np.ndarray,
                  matrix.data, x.ravel(), out.ravel())
     return out
 
-#: Plan-cache dispatch counters: a "hit" is a product served by a
-#: precompiled operator (zero conversions), a "miss" takes the legacy
-#: per-call path.  Exposed via ``GET /metrics`` and run manifests.
+#: Products served by a precompiled operator (zero conversions).
+#: Exposed via ``GET /metrics`` and run manifests.
 _PLAN_HITS = counter("plan.dispatch.planned",
                      "sparse products served by a precompiled operator")
-_PLAN_MISSES = counter("plan.dispatch.legacy",
-                       "sparse products through the per-call legacy path")
 
 
-def sparse_matmul(matrix: sparse.spmatrix | PlannedOperator,
-                  x: Tensor) -> Tensor:
-    """Compute ``matrix @ x`` where ``matrix`` is a constant scipy sparse
-    matrix (or a precompiled :class:`PlannedOperator`) and ``x`` a dense
-    ``(n, d)`` tensor.
+def sparse_matmul(operator: PlannedOperator, x: Tensor) -> Tensor:
+    """Compute ``operator @ x`` for a constant precompiled sparse
+    operator and a dense ``(n, d)`` tensor ``x``.
 
     Gradients flow only into ``x``.
     """
-    if matrix.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: {matrix.shape} @ {x.shape}")
-    if isinstance(matrix, PlannedOperator):
-        operator = matrix
-        _PLAN_HITS.inc()
-        dispatch = "spmm.plan"
-    else:
-        _PLAN_MISSES.inc()
-        dispatch = "spmm.legacy"
-        if sparse.issparse(matrix) and matrix.format == "csr":
-            forward = matrix
-        else:
-            count_conversion("tocsr")
-            forward = matrix.tocsr()
-        # Per-call operator: the transpose is built lazily inside
-        # ``PlannedOperator.backward`` and only when autograd will
-        # actually use it, fixing the old eager ``csr.T.tocsr()`` that
-        # held large transposed copies alive even under ``no_grad``.
-        operator = PlannedOperator(forward)
-    with detail_span(dispatch):
+    if not isinstance(operator, PlannedOperator):
+        raise TypeError(
+            f"sparse_matmul needs a PlannedOperator, got "
+            f"{type(operator).__name__}; compile adjacency matrices once "
+            f"with MessagePassingPlan(adjacencies) (or a single matrix "
+            f"with PlannedOperator.compile)")
+    if operator.shape[1] != x.shape[0]:
+        raise ValueError(f"shape mismatch: {operator.shape} @ {x.shape}")
+    _PLAN_HITS.inc()
+    with detail_span("spmm.plan"):
         out_data = _spmm(operator.forward, x.data)
 
     if not (x.requires_grad and is_grad_enabled()):

@@ -192,9 +192,6 @@ def pool_context():
         "fork" if "fork" in methods else "spawn")
 
 
-_pool_context = pool_context  # backward-compatible private alias
-
-
 def _persistent_worker_entry(fn, specs, untrack, args):
     views = attach_shared(specs, untrack=untrack)
     fn(views, *args)
@@ -264,7 +261,7 @@ def parallel_map(fn, tasks, *, workers: int | None = None,
 
     counter("parallel.map.pooled_calls").inc()
     pack = SharedArrays(shared or {})
-    context = _pool_context()
+    context = pool_context()
     untrack = context.get_start_method() != "fork"
     pool = context.Pool(processes=effective, initializer=_init_worker,
                         initargs=(fn, pack.specs(), untrack))

@@ -27,6 +27,7 @@ loaders detect the other's files and point the caller at the right API.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -111,36 +112,30 @@ def _config_to_json(config: GrimpConfig) -> dict:
         "batch_size": config.batch_size,
         "gnn_layer_type": config.gnn_layer_type,
         "dtype": config.dtype,
-        "mp_plan": config.mp_plan,
         "seed": config.seed,
         "embdi_kwargs": dict(config.embdi_kwargs),
     }
     return payload
 
 
+#: Config keys older version-1 manifests may carry for options that no
+#: longer exist; loading drops them.
+_RETIRED_CONFIG_KEYS = frozenset({"mp_plan"})
+
+
 def _config_from_json(payload: dict) -> GrimpConfig:
-    kwargs = dict(payload)
+    kwargs = {key: value for key, value in payload.items()
+              if key not in _RETIRED_CONFIG_KEYS}
+    known = {field.name for field in fields(GrimpConfig)}
+    unknown = sorted(set(kwargs) - known)
+    if unknown:
+        raise CheckpointError(f"checkpoint config has unknown key(s) "
+                              f"{', '.join(map(repr, unknown))}")
     kwargs["fds"] = tuple(
         FunctionalDependency(lhs=tuple(lhs), rhs=rhs)
         for lhs, rhs in payload.get("fds", ()))
     kwargs["embdi_kwargs"] = dict(payload.get("embdi_kwargs", {}))
     return GrimpConfig(**kwargs)
-
-
-def _adjacency_forwards(adjacencies) -> dict[str, "np.ndarray"]:
-    """Forward CSR matrix per edge type, whatever the container is."""
-    from scipy import sparse
-    forwards = {}
-    for edge_type in adjacencies:
-        matrix = adjacencies[edge_type]
-        if isinstance(matrix, PlannedOperator):
-            forwards[edge_type] = matrix.forward
-        elif sparse.issparse(matrix):
-            forwards[edge_type] = matrix.tocsr()
-        else:
-            raise TypeError(f"cannot checkpoint adjacency of type "
-                            f"{type(matrix).__name__}")
-    return forwards
 
 
 # ----------------------------------------------------------------------
@@ -175,10 +170,9 @@ def checkpoint_bundle(imputer: GrimpImputer
         if artifacts.node_matrix is not None else np.zeros((0, 0), np.int64)
     arrays["rid_nodes"] = np.asarray(table_graph.rid_nodes, dtype=np.int64)
 
-    forwards = _adjacency_forwards(artifacts.adjacencies)
-    edge_types = list(forwards)
+    edge_types = list(artifacts.adjacencies)
     for position, edge_type in enumerate(edge_types):
-        operator = PlannedOperator(forwards[edge_type])
+        operator = artifacts.adjacencies[edge_type]
         for key, value in operator.to_arrays().items():
             arrays[f"adj/{position}/{key}"] = value
 

@@ -25,7 +25,8 @@ import threading
 
 import numpy as np
 
-from ..core.model import build_node_index_matrix, build_row_indices
+from ..core.fill import fill_missing
+from ..core.model import build_node_index_matrix
 from ..core.trainer import GrimpImputer
 from ..data import MISSING, Table
 from ..telemetry import Tracer
@@ -191,40 +192,18 @@ class InferenceEngine:
     def _impute_locked(self, new_dirty: Table, h: np.ndarray) -> Table:
         artifacts = self.artifacts
         model = artifacts.model
-        normalized = artifacts.normalizer.transform(new_dirty)
-        imputed = new_dirty.copy()
-        missing = new_dirty.missing_cells()
-        self._rows_imputed += new_dirty.n_rows
-        if not missing:
-            return imputed
         model.eval()
-        with no_grad():
-            node_matrix = build_node_index_matrix(normalized,
-                                                  artifacts.table_graph)
-            by_column: dict[str, list[int]] = {}
-            for row, column in missing:
-                by_column.setdefault(column, []).append(row)
-            for column, rows in by_column.items():
-                indices = build_row_indices(normalized,
-                                            artifacts.table_graph, rows,
-                                            node_matrix=node_matrix)
-                output = model.task_output(column,
-                                           Tensor(h[indices])).data
-                if new_dirty.is_categorical(column):
-                    if artifacts.encoders.cardinality(column) == 0:
-                        continue
-                    for row, code in zip(rows, output.argmax(axis=1)):
-                        imputed.set(row, column,
-                                    artifacts.encoders[column].decode(
-                                        int(code)))
-                        self._cells_filled += 1
-                else:
-                    for row, value in zip(rows, output.reshape(-1)):
-                        imputed.set(row, column,
-                                    artifacts.normalizer.inverse_value(
-                                        column, float(value)))
-                        self._cells_filled += 1
-        return imputed
+        self._rows_imputed += new_dirty.n_rows
+
+        def predict(column: str, indices: np.ndarray) -> np.ndarray:
+            self._cells_filled += indices.shape[0]
+            return model.task_output(column, Tensor(h[indices])).data
+
+        normalized = artifacts.normalizer.transform(new_dirty)
+        node_matrix = build_node_index_matrix(normalized,
+                                              artifacts.table_graph)
+        return fill_missing(new_dirty, node_matrix, predict,
+                            artifacts.encoders, artifacts.normalizer)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data import MISSING, Table
 from repro.graph import build_table_graph
-from repro.gnn import column_adjacencies
+from repro.gnn import MessagePassingPlan, column_adjacencies
 from repro.core import (
     GrimpConfig,
     GrimpModel,
@@ -48,7 +48,8 @@ class TestSharedLayer:
     def test_output_shape(self, table, table_graph):
         layer = SharedLayer(table.column_names, feature_dim=8, gnn_dim=16,
                             merge_dim=12, rng=RNG)
-        adjacencies = column_adjacencies(table_graph)
+        adjacencies = MessagePassingPlan(column_adjacencies(table_graph),
+                                         dtype=np.float64)
         n = table_graph.graph.n_nodes
         out = layer(adjacencies, Tensor(RNG.standard_normal((n, 8))))
         assert out.shape == (n, 12)
@@ -62,7 +63,8 @@ class TestGrimpModel:
 
     def test_numerical_task_single_output(self, table, table_graph):
         model = make_model(table)
-        adjacencies = column_adjacencies(table_graph)
+        adjacencies = MessagePassingPlan(column_adjacencies(table_graph),
+                                         dtype=np.float64)
         features = Tensor(RNG.standard_normal(
             (table_graph.graph.n_nodes, 8)))
         h = model.node_representations(adjacencies, features)
@@ -73,7 +75,8 @@ class TestGrimpModel:
 
     def test_node_representations_appends_zero_row(self, table, table_graph):
         model = make_model(table)
-        adjacencies = column_adjacencies(table_graph)
+        adjacencies = MessagePassingPlan(column_adjacencies(table_graph),
+                                         dtype=np.float64)
         n = table_graph.graph.n_nodes
         h = model.node_representations(
             adjacencies, Tensor(RNG.standard_normal((n, 8))))
@@ -110,7 +113,8 @@ class TestSampleIndices:
 
     def test_gathered_vectors_zero_for_null(self, table, table_graph):
         model = make_model(table)
-        adjacencies = column_adjacencies(table_graph)
+        adjacencies = MessagePassingPlan(column_adjacencies(table_graph),
+                                         dtype=np.float64)
         n = table_graph.graph.n_nodes
         h = model.node_representations(
             adjacencies, Tensor(RNG.standard_normal((n, 8))))

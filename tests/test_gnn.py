@@ -7,6 +7,8 @@ from scipy import sparse
 from repro.data import Table
 from repro.graph import build_table_graph
 from repro.gnn import (
+    MessagePassingPlan,
+    PlannedOperator,
     sparse_matmul,
     GraphSAGELayer,
     GCNLayer,
@@ -25,7 +27,8 @@ def random_adjacency(n, density=0.3, seed=0):
     dense = (rng.random((n, n)) < density).astype(float)
     np.fill_diagonal(dense, 1.0)
     rows = dense / dense.sum(axis=1, keepdims=True)
-    return sparse.csr_matrix(rows)
+    return PlannedOperator.compile(sparse.csr_matrix(rows),
+                                   dtype=np.float64)
 
 
 class TestSparseMatmul:
@@ -33,7 +36,7 @@ class TestSparseMatmul:
         adjacency = random_adjacency(6)
         x = Tensor(RNG.standard_normal((6, 4)))
         out = sparse_matmul(adjacency, x)
-        assert np.allclose(out.data, adjacency.toarray() @ x.data)
+        assert np.allclose(out.data, adjacency.forward.toarray() @ x.data)
 
     def test_gradcheck(self):
         adjacency = random_adjacency(5)
@@ -59,11 +62,11 @@ class TestHomogeneousLayers:
         layer = GraphSAGELayer(2, 2, rng=RNG)
         features = np.zeros((3, 2))
         features[0] = [1.0, 1.0]
-        adjacency = sparse.csr_matrix(np.array([
+        adjacency = PlannedOperator.compile(sparse.csr_matrix(np.array([
             [0.0, 1.0, 0.0],
             [1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0],
-        ]))
+        ])), dtype=np.float64)
         out = layer(adjacency, Tensor(features))
         assert np.abs(out.data[1]).sum() > 0
         # Node 2 sees only itself (zero features): only bias remains.
@@ -104,7 +107,8 @@ class TestHeteroGNN:
         assert set(layer.submodules) == {"color", "size"}
 
     def test_forward_shape(self, tiny_graph):
-        adjacencies = column_adjacencies(tiny_graph)
+        adjacencies = MessagePassingPlan(column_adjacencies(tiny_graph),
+                                         dtype=np.float64)
         n = tiny_graph.graph.n_nodes
         model = HeteroGNN(tiny_graph.columns, [4, 8, 6], rng=RNG)
         out = model(adjacencies, Tensor(RNG.standard_normal((n, 4))))
@@ -118,7 +122,8 @@ class TestHeteroGNN:
         assert isinstance(layer.submodules["size"], GCNLayer)
 
     def test_sum_vs_mean_aggregation(self, tiny_graph):
-        adjacencies = column_adjacencies(tiny_graph)
+        adjacencies = MessagePassingPlan(column_adjacencies(tiny_graph),
+                                         dtype=np.float64)
         n = tiny_graph.graph.n_nodes
         features = Tensor(RNG.standard_normal((n, 4)))
         rng_a = np.random.default_rng(1)
@@ -160,7 +165,8 @@ class TestHeteroGNN:
             "noise": [f"n{rng.integers(0, 4)}" for _ in range(20)],
         })
         table_graph = build_table_graph(table)
-        adjacencies = column_adjacencies(table_graph)
+        adjacencies = MessagePassingPlan(column_adjacencies(table_graph),
+                                         dtype=np.float64)
         n = table_graph.graph.n_nodes
         features = Tensor(rng.standard_normal((n, 8)) * 0.1,
                           requires_grad=True)

@@ -470,6 +470,65 @@ class TestSampledTraining:
             entry = timings[f"fit/train/epoch/batch/{phase}"]
             assert entry["count"] >= 1
 
+    def test_exact_minibatch_is_fanout_zero(self):
+        """batch_size without fanout trains exactly as fanout=0: same
+        loss history and every imputed cell, bit for bit, at float64."""
+        def run(fanout):
+            config = GrimpConfig(feature_dim=12, gnn_dim=16, merge_dim=16,
+                                 epochs=4, patience=4, lr=1e-2, seed=0,
+                                 batch_size=16, fanout=fanout,
+                                 dtype="float64")
+            imputer = GrimpImputer(config)
+            imputed = imputer.impute(self.corruption().dirty)
+            cells = [repr(imputed.get(row, column))
+                     for column in imputed.column_names
+                     for row in range(imputed.n_rows)]
+            return imputer.history_, cells
+
+        history, cells = run(None)
+        zero_history, zero_cells = run(0)
+        assert history == zero_history
+        assert cells == zero_cells
+
+    def test_scores_belong_to_the_written_values(self, monkeypatch):
+        """impute_with_scores on a sampled fit: each categorical score
+        is the softmax probability of the value written into the cell,
+        taken from the same sampled outputs."""
+        import repro.core.trainer as trainer_module
+
+        outputs: dict[str, np.ndarray] = {}
+        real_fill = trainer_module.fill_missing
+
+        def recording_fill(dirty, node_matrix, predict, *args, **kwargs):
+            def recording_predict(column, indices):
+                outputs[column] = predict(column, indices)
+                return outputs[column]
+            return real_fill(dirty, node_matrix, recording_predict,
+                             *args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "fill_missing", recording_fill)
+        dirty = self.corruption().dirty
+        imputer = GrimpImputer(SAMPLED)
+        imputed, scores = imputer.impute_with_scores(dirty)
+        encoders = imputer._artifacts.encoders
+        rows_of: dict[str, list[int]] = {}
+        for row, column in dirty.missing_cells():
+            rows_of.setdefault(column, []).append(row)
+        checked = 0
+        for column, rows in rows_of.items():
+            if not dirty.is_categorical(column):
+                continue
+            logits = outputs[column]
+            probabilities = np.exp(logits - logits.max(axis=1,
+                                                       keepdims=True))
+            probabilities /= probabilities.sum(axis=1, keepdims=True)
+            for position, row in enumerate(rows):
+                code = encoders[column].encode(imputed.get(row, column))
+                assert scores[(row, column)] == pytest.approx(
+                    probabilities[position, code], rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked > 0
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="requires batch_size"):
             GrimpConfig(fanout=2)

@@ -172,6 +172,27 @@ class TestFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_imputer(path)
 
+    def test_retired_mp_plan_key_is_dropped(self, fitted32, tmp_path):
+        """Version-1 manifests written while ``mp_plan`` existed load
+        unchanged: the retired key is ignored."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(fitted32, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["config"]["mp_plan"] = True
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        rows = fresh_rows()
+        assert load_imputer(path).impute_new_rows(rows).equals(
+            fitted32.impute_new_rows(rows))
+
+    def test_unknown_config_key_rejected(self, fitted32, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(fitted32, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["config"]["warp_drive"] = 9
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="'warp_drive'"):
+            load_imputer(path)
+
     def test_results_file_pointed_at_right_api(self, tmp_path):
         """Loading an experiment-results file as a checkpoint names the
         correct loader instead of failing deep in deserialization."""

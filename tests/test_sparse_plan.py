@@ -3,11 +3,12 @@
 Covers the tentpole guarantees of the hot-path work:
 
 * ``sparse_matmul`` gradients match the dense ``A @ x`` autograd product
-  for both the planned and the legacy call styles, in both dtypes;
-* the legacy path no longer materializes the transpose eagerly (and
-  never under ``no_grad``);
-* a full training run with the plan enabled performs *zero* sparse
-  format conversions inside the epoch loop.
+  for compiled and lazily transposed operators, in both dtypes;
+* ``sparse_matmul`` refuses raw scipy matrices;
+* an operator without a compiled backward never materializes the
+  transpose eagerly (and never under ``no_grad``);
+* a full training run performs *zero* sparse format conversions inside
+  the epoch loop.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ def random_sparse(rng, n_rows=6, n_cols=5, density=0.4, dtype=np.float64):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestSparseMatmulGradients:
-    """Planned and legacy sparse products agree with dense autograd."""
+    """Planned sparse products agree with dense autograd."""
 
     def _dense_reference(self, matrix, x_data, dtype):
         x = Tensor(x_data.copy(), requires_grad=True, dtype=dtype)
@@ -55,13 +56,20 @@ class TestSparseMatmulGradients:
         operator = PlannedOperator.compile(matrix, dtype=dtype)
         self._check(operator, matrix, dtype)
 
-    def test_legacy_spmatrix_gradient(self, dtype):
+    def test_lazy_backward_gradient(self, dtype):
         matrix = random_sparse(np.random.default_rng(2), dtype=dtype)
-        self._check(matrix, matrix, dtype)
+        self._check(PlannedOperator(matrix), matrix, dtype)
 
-    def test_legacy_non_csr_gradient(self, dtype):
+    def test_non_csr_compiled_gradient(self, dtype):
         matrix = random_sparse(np.random.default_rng(3), dtype=dtype)
-        self._check(matrix.tocoo(), matrix, dtype)
+        operator = PlannedOperator.compile(matrix.tocoo(), dtype=dtype)
+        self._check(operator, matrix, dtype)
+
+    def test_raw_matrix_is_rejected(self, dtype):
+        matrix = random_sparse(np.random.default_rng(3), dtype=dtype)
+        x = Tensor(np.ones((matrix.shape[1], 2)), dtype=dtype)
+        with pytest.raises(TypeError, match="MessagePassingPlan"):
+            sparse_matmul(matrix, x)
 
     def test_gather_operator_matches_fancy_indexing(self, dtype):
         rng = np.random.default_rng(4)
@@ -83,28 +91,29 @@ class TestSparseMatmulGradients:
 
 
 class TestLazyTranspose:
-    """The legacy path must not build transposes eagerly (old bug)."""
+    """An operator without a compiled backward builds the transpose
+    lazily, only when a gradient flows (old eager-transpose bug)."""
 
     def test_no_transpose_without_grad(self):
-        matrix = random_sparse(np.random.default_rng(5))
+        operator = PlannedOperator(random_sparse(np.random.default_rng(5)))
         reset_conversion_counts()
-        x = Tensor(np.ones((matrix.shape[1], 2)))
-        sparse_matmul(matrix, x)
+        x = Tensor(np.ones((operator.shape[1], 2)))
+        sparse_matmul(operator, x)
         assert conversion_counts()["transpose"] == 0
 
     def test_no_transpose_under_no_grad(self):
-        matrix = random_sparse(np.random.default_rng(6))
+        operator = PlannedOperator(random_sparse(np.random.default_rng(6)))
         reset_conversion_counts()
-        x = Tensor(np.ones((matrix.shape[1], 2)), requires_grad=True)
+        x = Tensor(np.ones((operator.shape[1], 2)), requires_grad=True)
         with no_grad():
-            sparse_matmul(matrix, x)
+            sparse_matmul(operator, x)
         assert conversion_counts()["transpose"] == 0
 
     def test_transpose_only_when_grad_flows(self):
-        matrix = random_sparse(np.random.default_rng(7))
+        operator = PlannedOperator(random_sparse(np.random.default_rng(7)))
         reset_conversion_counts()
-        x = Tensor(np.ones((matrix.shape[1], 2)), requires_grad=True)
-        sparse_matmul(matrix, x).sum().backward()
+        x = Tensor(np.ones((operator.shape[1], 2)), requires_grad=True)
+        sparse_matmul(operator, x).sum().backward()
         assert conversion_counts()["transpose"] == 1
 
     def test_plan_compiles_backward_eagerly(self):
@@ -132,10 +141,11 @@ class TestPlanMapping:
             assert operator.has_backward
 
     def test_shape_mismatch_raises(self):
-        matrix = random_sparse(np.random.default_rng(10))
-        x = Tensor(np.ones((matrix.shape[1] + 1, 2)))
+        operator = PlannedOperator.compile(
+            random_sparse(np.random.default_rng(10)))
+        x = Tensor(np.ones((operator.shape[1] + 1, 2)))
         with pytest.raises(ValueError, match="shape mismatch"):
-            sparse_matmul(matrix, x)
+            sparse_matmul(operator, x)
 
 
 class TestZeroConversionsInEpochLoop:
@@ -147,12 +157,3 @@ class TestZeroConversionsInEpochLoop:
         imputer = GrimpImputer(GrimpConfig(epochs=2, patience=2, seed=0))
         imputer.impute(corruption.dirty)
         assert imputer.train_conversions_ == {"tocsr": 0, "transpose": 0}
-
-    def test_legacy_mode_converts_per_epoch(self):
-        clean = load("adult", n_rows=40, seed=0)
-        corruption = inject_mcar(clean, 0.2, np.random.default_rng(1))
-        imputer = GrimpImputer(GrimpConfig(epochs=2, patience=2, seed=0,
-                                           mp_plan=False, dtype="float64"))
-        imputer.impute(corruption.dirty)
-        counts = imputer.train_conversions_
-        assert counts["transpose"] > 0

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.gnn.plan import MessagePassingPlan
-from repro.gnn.sparse import _PLAN_HITS, _PLAN_MISSES, sparse_matmul
+from repro.gnn.plan import MessagePassingPlan, PlannedOperator
+from repro.gnn.sparse import _PLAN_HITS, sparse_matmul
 from repro.telemetry import (
     MANIFEST_SCHEMA,
     NO_OP_SPAN,
@@ -314,16 +314,10 @@ class TestPlanCacheCounters:
         sparse_matmul(plan["c"], x)
         assert _PLAN_HITS.value == before + 2
 
-    def test_legacy_dispatch_counts_misses(self):
-        x = Tensor(np.ones((8, 3)))
-        before = _PLAN_MISSES.value
-        sparse_matmul(self._matrix(), x)
-        assert _PLAN_MISSES.value == before + 1
-
     def test_registry_mirrors_conversion_counts(self):
         snapshot_before = get_registry().snapshot()
-        x = Tensor(np.ones((8, 3)))
-        sparse_matmul(self._matrix(), x)     # coo -> csr conversion
+        PlannedOperator.compile(self._matrix(),   # coo -> csr conversion
+                                build_backward=False)
         snapshot_after = get_registry().snapshot()
         assert snapshot_after["plan.conversions.tocsr"] == \
             snapshot_before["plan.conversions.tocsr"] + 1
