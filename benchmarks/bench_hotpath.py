@@ -139,8 +139,9 @@ def run_arena_leg(dataset: str, n_rows: int, error_rate: float,
                 "accuracy": score.accuracy,
                 "rmse": score.rmse,
             }
-            if imputer.workspace_ is not None:
-                record["workspace"] = imputer.workspace_.stats()
+            arena = imputer.timings_["meta"].get("arena")
+            if arena is not None:
+                record["workspace"] = arena["fit"]
             records[mode] = record
             frames[mode] = imputed
             histories[mode] = imputer.history_

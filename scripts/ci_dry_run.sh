@@ -5,9 +5,14 @@
 #
 #   lint        -> python -m compileall over every source tree, then
 #                  the project lint rules (`repro lint`)
-#   test        -> make test-fast, then the slow/bench-marked tests
+#   test        -> make test-fast, the slow/bench-marked tests, the
+#                  perfbench smoke, then make sampling-smoke
+#   serve-smoke -> make test-serve (multi-process serving tier)
 #   dp-smoke    -> make dp-smoke (DP parity + worker determinism)
 #   bench-gate  -> make ci-gate (smoke benchmarks + baseline check)
+#
+# tests/test_ci_gate.py checks that every Makefile target and pytest path
+# the workflow runs also appears here.
 #
 # Usage:  sh scripts/ci_dry_run.sh          # from the repository root
 # Exits non-zero at the first failing step, like the workflow.
@@ -27,6 +32,15 @@ make test-fast
 
 echo "==> [test] slow and bench-marked tests"
 PYTHONPATH=src python -m pytest -q -m "slow or bench"
+
+echo "==> [test] end-to-end benchmark smoke (library calls perfbench makes)"
+PYTHONPATH=src python -m pytest -q perfbench/test_smoke.py
+
+echo "==> [test] sampled-training smoke"
+make sampling-smoke
+
+echo "==> [serve-smoke] multi-process dispatch, crash-recovery, drain"
+make test-serve
 
 echo "==> [dp-smoke] data-parallel parity + worker-count determinism"
 make dp-smoke

@@ -83,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "neighborhoods)")
     impute.add_argument("--dp-shards", type=int, default=None,
                         help="data-parallel shards per training epoch "
-                             "(grimp-* only; requires --fanout; results "
-                             "depend on the shard count but not the "
-                             "worker count, and 1 matches serial "
+                             "(grimp-* only; requires --batch-size; "
+                             "results depend on the shard count but not "
+                             "the worker count, and 1 matches serial "
                              "sampled training bit-for-bit)")
     impute.add_argument("--dp-workers", type=int, default=None,
                         help="worker processes for data-parallel "

@@ -76,7 +76,8 @@ class GrimpConfig:
     #: each epoch's minibatch schedule into ``k`` fixed shards trained
     #: in parallel and reduced by sample-weighted averaging.  Results
     #: depend on the shard count but NOT on the worker count; ``1`` is
-    #: bit-identical to serial sampled training.  Requires ``fanout``.
+    #: bit-identical to serial sampled training.  Requires
+    #: ``batch_size``.
     dp_shards: int | None = None
     #: Worker processes for data-parallel training (default:
     #: ``$REPRO_WORKERS`` or 1, clamped to ``dp_shards``).  Any value
@@ -120,8 +121,8 @@ class GrimpConfig:
         if self.dp_shards is not None:
             if self.dp_shards < 1:
                 raise ValueError("dp_shards must be >= 1 when set")
-            if self.fanout is None:
-                raise ValueError("dp_shards requires fanout (data-"
+            if self.batch_size is None:
+                raise ValueError("dp_shards requires batch_size (data-"
                                  "parallel training shards the sampled "
                                  "minibatch schedule)")
         if self.dp_workers is not None:

@@ -25,14 +25,15 @@ import numpy as np
 from ..data import MISSING, Table
 from ..graph import TableGraph
 from ..gnn import HeteroGNN, PlannedOperator, sparse_matmul
-from ..nn import Linear, Module
+from ..nn import Linear, Module, Parameter
 from ..tensor import Tensor, concat
 from .config import GrimpConfig
 from .corpus import TrainingSample
 from .tasks import AttentionTask, LinearTask
 
-__all__ = ["SharedLayer", "GrimpModel", "build_node_index_matrix",
-           "build_sample_indices", "build_row_indices"]
+__all__ = ["SharedLayer", "GrimpModel", "fd_related_columns",
+           "build_node_index_matrix", "build_sample_indices",
+           "build_row_indices"]
 
 
 class SharedLayer(Module):
@@ -66,9 +67,9 @@ class GrimpModel(Module):
 
     Parameters
     ----------
-    table:
-        The (dirty, normalized) table the model is built for; provides
-        column order, kinds, and categorical domains.
+    columns / kinds:
+        The table schema: column order and each column's kind
+        (``"categorical"`` or ``"numerical"``).
     cardinalities:
         Domain size per categorical column (classifier output widths).
     attribute_vectors:
@@ -79,14 +80,15 @@ class GrimpModel(Module):
         ``weak_diagonal_fd`` strategy.
     """
 
-    def __init__(self, table: Table, cardinalities: dict[str, int],
+    def __init__(self, columns: list[str], kinds: dict[str, str],
+                 cardinalities: dict[str, int],
                  attribute_vectors: np.ndarray, config: GrimpConfig,
                  rng: np.random.Generator,
                  fd_related: dict[str, list[int]] | None = None,
                  gnn_edge_types: list[str] | None = None):
         super().__init__()
-        self.columns = list(table.column_names)
-        self.kinds = dict(table.kinds)
+        self.columns = list(columns)
+        self.kinds = dict(kinds)
         self.config = config
         # The GNN gets one sub-module per edge type — the table's
         # attributes plus any augmentation edge types (§3.2).
@@ -111,12 +113,30 @@ class GrimpModel(Module):
                     k_strategy=config.k_strategy,
                     fd_columns=fd_related.get(column), rng=rng)
 
+    def attach_features(self, features: np.ndarray, dtype) -> Tensor:
+        """Attach the node features, cast to ``dtype``, and return the
+        feature tensor.  With ``train_features`` they become the
+        ``node_features`` parameter *before* the cast: every model
+        builder shares this order, which fixes the optimizer's."""
+        if self.config.train_features:
+            self.node_features = Parameter(features)
+            feature_tensor: Tensor = self.node_features
+        else:
+            feature_tensor = Tensor(features, dtype=dtype)
+        self.astype(dtype)
+        return feature_tensor
+
     # ------------------------------------------------------------------
     def node_representations(self,
-                             adjacencies: Mapping[str, PlannedOperator],
+                             adjacencies: Mapping[str, PlannedOperator]
+                             | None,
                              features: Tensor) -> Tensor:
         """Shared-section output ``h`` for every graph node, with a
-        trailing all-zero row for null lookups (index ``n_nodes``)."""
+        trailing all-zero row for null lookups (index ``n_nodes``);
+        ``adjacencies=None`` (no nodes) gives the zero row alone."""
+        if adjacencies is None:
+            return Tensor(np.zeros((1, self.shared.output_dim),
+                                   dtype=features.data.dtype))
         h = self.shared(adjacencies, features)
         zero_row = Tensor(np.zeros((1, self.shared.output_dim),
                                    dtype=h.data.dtype))
@@ -148,6 +168,18 @@ class GrimpModel(Module):
     def task_output(self, column: str, vectors: Tensor) -> Tensor:
         """Run one attribute's head on its training vectors."""
         return self.tasks[column](vectors)
+
+
+def fd_related_columns(fds, columns: list[str]) -> dict[str, list[int]]:
+    """Column indices FD-related to each column (for the K matrix)."""
+    position = {column: index for index, column in enumerate(columns)}
+    related: dict[str, set[int]] = {column: set() for column in columns}
+    for fd in fds:
+        names = [name for name in fd.attributes if name in position]
+        for name in names:
+            related[name].update(position[other] for other in names
+                                 if other != name)
+    return {column: sorted(indices) for column, indices in related.items()}
 
 
 def build_node_index_matrix(table: Table,

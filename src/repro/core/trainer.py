@@ -14,23 +14,23 @@ import time
 import numpy as np
 
 from ..data import NumericNormalizer, Table, TableEncoder
-from ..distributed import (DataParallelTrainer, batch_loss, sample_batch,
-                           subgraph_vectors, train_shard)
+from ..distributed import (DataParallelTrainer, evaluate, sampled_inputs,
+                           step, train_shard)
 from ..embeddings import initialize_node_features
 from ..gnn import (MessagePassingPlan, build_gather_operator,
                    column_adjacencies, conversion_counts)
 from ..graph import augment_with_fd_edges, build_table_graph
 from ..imputation import Imputer
-from ..nn import Adam, EarlyStopping, Parameter
+from ..nn import Adam, EarlyStopping
 from ..sampling import (FrozenGraph, MinibatchIterator, NeighborSampler,
                         SubgraphPlanCache, contiguous_batches)
 from ..telemetry import Tracer
-from ..tensor import (Tensor, Workspace, arena_enabled, no_grad,
-                      use_workspace)
+from ..tensor import Tensor, Workspace, arena_enabled, no_grad
 from .config import GrimpConfig
 from .corpus import build_training_corpus, samples_by_task, split_corpus
 from .fill import Predict, fill_missing
-from .model import GrimpModel, build_node_index_matrix, build_sample_indices
+from .model import (GrimpModel, build_node_index_matrix,
+                    build_sample_indices, fd_related_columns)
 
 __all__ = ["GrimpImputer", "FittedArtifacts"]
 
@@ -136,7 +136,6 @@ class GrimpImputer(Imputer):
         self.timings_: dict[str, dict[str, float]] = {}
         self.trace_: Tracer | None = None
         self.plan_cache_: SubgraphPlanCache | None = None
-        self.workspace_: Workspace | None = None
         self._artifacts: FittedArtifacts | None = None
 
     @property
@@ -222,6 +221,11 @@ class GrimpImputer(Imputer):
                 adjacencies = MessagePassingPlan(
                     raw_adjacencies, dtype=dtype,
                     build_backward=not use_sampling)
+                # The fit's arena rides on its operators: full-graph
+                # steps and validation rent from it.  Fill never does —
+                # its outputs must outlive any reset.
+                adjacencies.arena = Workspace() if arena_enabled() \
+                    else None
             sampler = None
             self.plan_cache_: SubgraphPlanCache | None = None
             if use_sampling:
@@ -235,20 +239,17 @@ class GrimpImputer(Imputer):
             encoders = TableEncoder(normalized)
             cardinalities = {column: encoders.cardinality(column)
                              for column in normalized.categorical_columns}
-            fd_related = self._fd_related(normalized)
-            model = GrimpModel(normalized, cardinalities,
-                               features.attribute_vectors, config, rng,
-                               fd_related=fd_related,
+            fd_related = fd_related_columns(config.fds,
+                                            normalized.column_names)
+            model = GrimpModel(normalized.column_names, normalized.kinds,
+                               cardinalities, features.attribute_vectors,
+                               config, rng, fd_related=fd_related,
                                gnn_edge_types=edge_types)
-            if config.train_features:
-                # Refine the pre-trained features end-to-end (§3.4); the
-                # parameter is attached to the model so checkpointing and
-                # the optimizer see it.
-                model.node_features = Parameter(features.node_vectors)
-                feature_tensor: Tensor = model.node_features
-            else:
-                feature_tensor = Tensor(features.node_vectors, dtype=dtype)
-            model.astype(dtype)
+            # With train_features the pre-trained features are refined
+            # end-to-end (§3.4) as a model parameter, so checkpointing
+            # and the optimizer see them.
+            feature_tensor = model.attach_features(features.node_vectors,
+                                                   dtype)
             self.model_ = model
 
             with tracer.span("index"):
@@ -270,11 +271,6 @@ class GrimpImputer(Imputer):
             optimizer = Adam(model.parameters(), lr=config.lr)
             stopper = EarlyStopping(patience=config.patience)
             self.history_ = []
-            # Fit-scoped workspace arena: training steps and validation
-            # chunks rent their buffers here (sampled batches prefer
-            # their plan-cache entry's arena).  Inference/fill paths
-            # never activate it — their outputs must outlive any reset.
-            self.workspace_ = Workspace() if arena_enabled() else None
 
             null_index = table_graph.graph.n_nodes
             iterator = None
@@ -331,8 +327,8 @@ class GrimpImputer(Imputer):
                 if dp is not None and dp.last_plan_cache:
                     meta["sampling"]["dp"]["plan_caches"] = \
                         dp.last_plan_cache
-            if self.workspace_ is not None:
-                arena_meta = {"fit": self.workspace_.stats()}
+            if adjacencies.arena is not None:
+                arena_meta = {"fit": adjacencies.arena.stats()}
                 if self.plan_cache_ is not None:
                     arena_meta["plan_cache"] = \
                         self.plan_cache_.arena_stats()
@@ -370,15 +366,21 @@ class GrimpImputer(Imputer):
                     null_index, stopper, tracer) -> None:
         """The epoch loop shared by both training paths.
 
-        Tracks the best validation state in ``self._best_state`` so the
-        caller can restore it after the (possibly pooled) loop winds
-        down — extracted so data-parallel worker shutdown can wrap the
-        loop in one try/finally.
+        A full-graph epoch is one :func:`~repro.distributed.step` over
+        every task; a sampled epoch one step per batch.  Tracks the
+        best validation state in ``self._best_state`` so the caller
+        can restore it after the (possibly pooled) loop winds down —
+        extracted so data-parallel worker shutdown can wrap the loop in
+        one try/finally.
         """
         config = self.config
         best_state = model.state_dict()
         best_validation = float("inf")
         self._best_state = (best_state, best_validation)
+        train_parts = _parts(train_data)
+        graph_validation = [(1, [(1, adjacencies, feature_tensor,
+                                  _parts(validation_data))])] \
+            if validation_data else []
         with tracer.span("train"):
             for epoch in range(config.epochs):
                 model.train()
@@ -391,33 +393,16 @@ class GrimpImputer(Imputer):
                             train_data, iterator, epoch, null_index,
                             tracer)
                     else:
-                        with use_workspace(self.workspace_):
-                            optimizer.zero_grad()
-                            with tracer.span("forward"):
-                                h_extended = model.node_representations(
-                                    adjacencies, feature_tensor)
-                                train_loss = self._total_loss(
-                                    model, h_extended, train_data)
-                            with tracer.span("backward"):
-                                train_loss.backward()
-                            with tracer.span("step"):
-                                optimizer.clip_grad_norm(5.0)
-                                optimizer.step()
-                            # Reduce to a float before the arena reset
-                            # returns every pooled buffer to its pool.
-                            epoch_loss = train_loss.item()
-                        if self.workspace_ is not None:
-                            self.workspace_.reset()
+                        epoch_loss = step(model, optimizer, adjacencies,
+                                          feature_tensor, train_parts,
+                                          config.categorical_loss, tracer)
 
                     with tracer.span("validate"):
-                        if sampler is not None:
-                            validation_loss = self._evaluate_sampled(
+                        groups = graph_validation if sampler is None \
+                            else self._sampled_validation(
                                 model, sampler, feature_tensor,
                                 validation_data, null_index)
-                        else:
-                            validation_loss = self._evaluate(
-                                model, adjacencies, feature_tensor,
-                                validation_data)
+                        validation_loss = self._validate(model, groups)
                     epoch_span.set(train_loss=epoch_loss,
                                    validation_loss=validation_loss)
                 self.history_.append({
@@ -433,6 +418,29 @@ class GrimpImputer(Imputer):
                     self._best_state = (best_state, best_validation)
                 if stopper.update(metric, epoch):
                     break
+
+    def _validate(self, model: GrimpModel, groups) -> float:
+        """Validation loss: the sum over tasks of each task's mean loss.
+
+        ``groups`` holds ``(n, chunks)``: a group adds the sum of its
+        ``(rows, operators, features, parts)`` chunks' losses times
+        ``rows``, divided by ``n``.  Full-graph validation is one group
+        of one chunk with every task (weights 1); sampled validation
+        one group per task.  No groups: ``inf``.
+        """
+        if not groups:
+            return float("inf")
+        model.eval()
+        total = 0.0
+        with no_grad():
+            for n, chunks in groups:
+                group_total = 0.0
+                for rows, operators, features, parts in chunks:
+                    group_total += evaluate(
+                        model, operators, features, parts,
+                        self.config.categorical_loss) * rows
+                total += group_total / n
+        return total
 
     @property
     def train_conversions_(self) -> dict[str, int]:
@@ -511,20 +519,6 @@ class GrimpImputer(Imputer):
         return load_imputer(path)
 
     # ------------------------------------------------------------------
-    def _fd_related(self, table: Table) -> dict[str, list[int]]:
-        """Column indices FD-related to each column (for the K matrix)."""
-        position = {column: index
-                    for index, column in enumerate(table.column_names)}
-        related: dict[str, set[int]] = {column: set()
-                                        for column in table.column_names}
-        for fd in self.config.fds:
-            names = [name for name in fd.attributes if name in position]
-            for name in names:
-                related[name].update(position[other] for other in names
-                                     if other != name)
-        return {column: sorted(indices)
-                for column, indices in related.items()}
-
     def _task_data(self, table: Table, table_graph, encoders: TableEncoder,
                    samples, node_matrix: np.ndarray | None = None,
                    gather_rows: int | None = None,
@@ -554,8 +548,8 @@ class GrimpImputer(Imputer):
     # Sampled training (repro.sampling): each step runs message passing
     # over a compact sampled subgraph instead of the whole graph, so
     # per-step activation memory scales with the batch neighborhood,
-    # not the table.  The per-batch step itself lives in
-    # repro.distributed.shard and is shared verbatim with the
+    # not the table.  The step itself lives in repro.distributed.shard
+    # and is shared verbatim with full-graph epochs and the
     # data-parallel shard workers — dp_shards=1 parity is structural.
     # ------------------------------------------------------------------
     def _sampled_epoch(self, model: GrimpModel, optimizer: Adam,
@@ -566,8 +560,8 @@ class GrimpImputer(Imputer):
         """One epoch of neighbor-sampled minibatch steps.
 
         The returned loss matches full-graph semantics: the sum over
-        tasks of each task's sample-weighted mean batch loss (the
-        full-graph ``_total_loss`` sums per-task means).
+        tasks of each task's sample-weighted mean batch loss (a
+        full-graph step sums per-task means).
         """
         task_columns = list(data)
         sums = train_shard(
@@ -584,51 +578,52 @@ class GrimpImputer(Imputer):
                    for task, column in enumerate(task_columns)
                    if data[column].n)
 
-    def _evaluate_sampled(self, model: GrimpModel,
-                          sampler: NeighborSampler, feature_tensor: Tensor,
-                          data: dict[str, _TaskData],
-                          null_index: int) -> float:
-        """Validation loss over sampled subgraphs, chunked by batch.
+    def _sampled_chunks(self, model: GrimpModel, sampler: NeighborSampler,
+                        feature_tensor: Tensor, null_index: int,
+                        seed_root: np.random.SeedSequence):
+        """The chunk generator of sampled validation and fill.
+
+        Returns ``chunks(indices)``, which walks an index matrix in
+        ``batch_size`` chunks — sample -> plan -> local indices — and
+        yields ``(chunk, operators, features, local_indices)``.  Chunk
+        seeds spawn from ``seed_root`` in visit order, so a fixed root
+        replays the identical subgraphs.
+        """
+        silent = Tracer()
+        n_layers = model.shared.gnn.n_layers
+
+        def chunks(indices: np.ndarray):
+            for chunk in contiguous_batches(indices.shape[0],
+                                            self.config.batch_size):
+                (chunk_seed,) = seed_root.spawn(1)
+                yield (chunk, *sampled_inputs(
+                    sampler, self.plan_cache_, n_layers, feature_tensor,
+                    indices[chunk], null_index,
+                    np.random.default_rng(chunk_seed), silent))
+
+        return chunks
+
+    def _sampled_validation(self, model: GrimpModel,
+                            sampler: NeighborSampler, feature_tensor: Tensor,
+                            data: dict[str, _TaskData], null_index: int):
+        """Sampled validation groups for :meth:`_validate`.
 
         Seeds derive from a fixed root (not the training schedule), so
         every epoch evaluates the identical subgraphs — the metric is
         comparable across epochs and early stopping stays stable.
         """
-        if not data:
-            return float("inf")
-        model.eval()
-        seed_root = np.random.SeedSequence([self.config.seed, 0x56A1])
-        silent = Tracer()
-        n_layers = model.shared.gnn.n_layers
-        total = 0.0
-        with no_grad():
-            for column, task_data in data.items():
-                task_total = 0.0
-                for chunk in contiguous_batches(task_data.n,
-                                                self.config.batch_size):
-                    (chunk_seed,) = seed_root.spawn(1)
-                    indices = task_data.indices[chunk]
-                    subgraph, operators = sample_batch(
-                        sampler, self.plan_cache_, n_layers, indices,
-                        null_index, np.random.default_rng(chunk_seed),
-                        silent)
-                    # Like training batches, only a plan that proved
-                    # it recurs (and so carries an arena) pools its
-                    # buffers; one-off chunk shapes allocate normally
-                    # to keep the sampled memory budget honest.
-                    arena = getattr(operators, "arena", None)
-                    with use_workspace(arena):
-                        vectors = subgraph_vectors(
-                            model, subgraph, operators, feature_tensor,
-                            indices, null_index)
-                        loss = batch_loss(model, column, vectors,
-                                          task_data.targets[chunk],
-                                          self.config.categorical_loss)
-                        task_total += loss.item() * chunk.size
-                    if arena is not None:
-                        arena.reset()
-                total += task_total / task_data.n
-        return total
+        chunks = self._sampled_chunks(
+            model, sampler, feature_tensor, null_index,
+            np.random.SeedSequence([self.config.seed, 0x56A1]))
+
+        def task_chunks(column: str, task_data: _TaskData):
+            for chunk, operators, features, local in chunks(
+                    task_data.indices):
+                yield chunk.size, operators, features, [
+                    (column, local, None, task_data.targets[chunk])]
+
+        return [(task_data.n, task_chunks(column, task_data))
+                for column, task_data in data.items()]
 
     def _sampled_predict(self, model: GrimpModel, sampler: NeighborSampler,
                          feature_tensor: Tensor, null_index: int) -> Predict:
@@ -640,52 +635,26 @@ class GrimpImputer(Imputer):
         deterministic for a given ``config.seed``.
         """
         model.eval()
-        seed_root = np.random.SeedSequence([self.config.seed, 0xF111])
-        silent = Tracer()
-        n_layers = model.shared.gnn.n_layers
+        chunks = self._sampled_chunks(
+            model, sampler, feature_tensor, null_index,
+            np.random.SeedSequence([self.config.seed, 0xF111]))
 
         def predict(column: str, indices: np.ndarray) -> np.ndarray:
             outputs = []
-            for chunk in contiguous_batches(indices.shape[0],
-                                            self.config.batch_size):
-                (chunk_seed,) = seed_root.spawn(1)
-                chunk_indices = indices[chunk]
-                subgraph, operators = sample_batch(
-                    sampler, self.plan_cache_, n_layers, chunk_indices,
-                    null_index, np.random.default_rng(chunk_seed), silent)
-                vectors = subgraph_vectors(model, subgraph, operators,
-                                           feature_tensor, chunk_indices,
-                                           null_index)
+            for _, operators, features, local in chunks(indices):
+                h_extended = model.node_representations(operators,
+                                                        features)
+                vectors = model.training_vectors(h_extended, local)
                 outputs.append(model.task_output(column, vectors).data)
             return np.concatenate(outputs, axis=0)
 
         return predict
 
-    def _total_loss(self, model: GrimpModel, h_extended: Tensor,
-                    data: dict[str, _TaskData]) -> Tensor:
-        total: Tensor | None = None
-        for column, task_data in data.items():
-            vectors = model.training_vectors(h_extended, task_data.indices,
-                                             gather=task_data.gather)
-            loss = batch_loss(model, column, vectors, task_data.targets,
-                              self.config.categorical_loss)
-            total = loss if total is None else total + loss
-        if total is None:
-            raise RuntimeError("no training samples — is the table empty?")
-        return total
 
-    def _evaluate(self, model: GrimpModel, adjacencies, feature_tensor,
-                  data: dict[str, _TaskData]) -> float:
-        if not data:
-            return float("inf")
-        model.eval()
-        with no_grad(), use_workspace(self.workspace_):
-            h_extended = model.node_representations(adjacencies,
-                                                    feature_tensor)
-            loss = self._total_loss(model, h_extended, data).item()
-        if self.workspace_ is not None:
-            self.workspace_.reset()
-        return loss
+def _parts(data: dict[str, _TaskData]) -> list[tuple]:
+    """Every task's ``(column, indices, gather, targets)`` step part."""
+    return [(column, task_data.indices, task_data.gather, task_data.targets)
+            for column, task_data in data.items()]
 
 
 def _graph_predict(model: GrimpModel, adjacencies,

@@ -3,7 +3,8 @@ and CSV I/O."""
 
 from .table import Table, ColumnKind, MISSING
 from .encoding import ColumnEncoder, TableEncoder
-from .normalize import NumericNormalizer, round_numeric, DEFAULT_DECIMALS
+from .normalize import (DEFAULT_DECIMALS, NumericNormalizer, require_finite,
+                        round_numeric)
 from .io import read_csv, write_csv
 
 __all__ = [
@@ -14,6 +15,7 @@ __all__ = [
     "TableEncoder",
     "NumericNormalizer",
     "round_numeric",
+    "require_finite",
     "DEFAULT_DECIMALS",
     "read_csv",
     "write_csv",

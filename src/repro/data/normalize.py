@@ -9,11 +9,14 @@ of decimal places (8 by default) when treated as graph node strings.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .table import MISSING, Table
 
-__all__ = ["NumericNormalizer", "round_numeric", "DEFAULT_DECIMALS"]
+__all__ = ["NumericNormalizer", "round_numeric", "require_finite",
+           "DEFAULT_DECIMALS"]
 
 #: Decimal places used when numerals become graph-node strings (§3.2).
 DEFAULT_DECIMALS = 8
@@ -32,10 +35,15 @@ class NumericNormalizer:
         self._fitted = False
 
     def fit(self, table: Table) -> "NumericNormalizer":
-        """Estimate mean/std of every numerical column."""
+        """Estimate mean/std of every numerical column.
+
+        A ``nan``/``inf`` cell would poison the statistics and every
+        imputed value, so it raises (:func:`require_finite`).
+        """
         for name in table.numerical_columns:
-            values = np.array([v for v in table.column(name) if v is not MISSING],
-                              dtype=float)
+            values = np.array([require_finite(name, row, v)
+                               for row, v in enumerate(table.column(name))
+                               if v is not MISSING], dtype=float)
             if values.size == 0:
                 self.means[name], self.stds[name] = 0.0, 1.0
                 continue
@@ -81,6 +89,15 @@ class NumericNormalizer:
                 if column[row] is not MISSING:
                     column[row] = self.inverse_value(name, column[row])
         return out
+
+
+def require_finite(column: str, row: int, value):
+    """``value`` itself if it is a finite number, else ``ValueError``
+    naming the cell."""
+    if not math.isfinite(value):
+        raise ValueError(f"row {row}, column {column!r}: {value!r} is "
+                         f"not a finite number")
+    return value
 
 
 def round_numeric(value: float, decimals: int = DEFAULT_DECIMALS) -> float:

@@ -6,10 +6,10 @@ arrays are already shared-memory friendly — this package shards each
 epoch across long-lived :class:`repro.parallel.ShardPool` workers and
 reduces the per-shard step results with sample-weighted averaging:
 
-* :mod:`repro.distributed.shard` — the per-batch training step
-  (sample -> compile -> forward -> backward -> step), shared verbatim
-  between the serial sampled path and the shard workers so parity is
-  structural;
+* :mod:`repro.distributed.shard` — the one training step
+  (forward -> summed loss -> backward -> step) that full-graph epochs,
+  serial sampled batches and shard workers all call, so parity is
+  structural, plus the per-batch sampling in front of it;
 * :mod:`repro.distributed.worker` — worker-side init (model skeleton
   rebuilt from a picklable spec, graph attached via shared memory,
   private :class:`~repro.sampling.SubgraphPlanCache`) and the
@@ -28,14 +28,13 @@ Entry points: ``GrimpConfig(dp_shards=..., dp_workers=...)`` or
 """
 
 from .coordinator import DataParallelTrainer
-from .shard import (PHASES, batch_loss, sample_batch, subgraph_vectors,
-                    train_shard)
+from .shard import PHASES, evaluate, sampled_inputs, step, train_shard
 
 __all__ = [
     "DataParallelTrainer",
     "PHASES",
-    "batch_loss",
-    "sample_batch",
-    "subgraph_vectors",
+    "evaluate",
+    "sampled_inputs",
+    "step",
     "train_shard",
 ]

@@ -1,27 +1,33 @@
-"""The shared per-batch training step for sampled minibatch training.
+"""The one training step, shared by every training path.
 
-One implementation of sample -> compile -> forward -> backward -> step
-serves both execution modes:
+GRIMP trains every attribute task against one summed loss (§3.6,
+Algorithm 1); :func:`step` is that update, and the paths differ only
+in where a step's ``(operators, features, parts)`` come from:
 
-* the serial sampled path (:meth:`repro.core.GrimpImputer.impute` with
-  ``batch_size`` set and no ``dp_shards``) calls :func:`train_shard`
-  once per epoch with the whole batch list;
-* data-parallel shard workers (:mod:`repro.distributed.worker`) call it
-  with their shard's batch subset.
+* a full-graph epoch is one step over the fit's
+  :class:`~repro.gnn.MessagePassingPlan`, one part per task (each with
+  a precompiled gather operator);
+* a sampled minibatch is one step over its sampled subgraph
+  (:func:`sampled_inputs`) with one part — via :func:`train_shard`,
+  serially or in a data-parallel shard worker
+  (:mod:`repro.distributed.worker`), so ``dp_shards=1`` parity is
+  structural.
 
-Because both paths execute the *same* statements in the same order per
-batch, single-shard data-parallel training is bit-identical to the
-serial path by construction, not by careful duplication.
+A part is ``(column, indices, gather, targets)``: an ``(n, C)`` index
+matrix into the node representations (trailing zero row included), an
+optional gather operator replacing it, and the task's targets.  The
+step and :func:`evaluate` rent buffers from the arena the operators
+carry (``operators.arena``, :mod:`repro.tensor.arena`), if any.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import (Tensor, cross_entropy, focal_loss, mse_loss,
+from ..tensor import (Tensor, cross_entropy, focal_loss, mse_loss, no_grad,
                       use_workspace)
 
-__all__ = ["PHASES", "sample_batch", "subgraph_vectors", "batch_loss",
+__all__ = ["PHASES", "sampled_inputs", "batch_loss", "step", "evaluate",
            "train_shard"]
 
 #: Per-batch phases every sampled training step runs through, in order.
@@ -30,46 +36,34 @@ __all__ = ["PHASES", "sample_batch", "subgraph_vectors", "batch_loss",
 PHASES = ("sample", "compile", "forward", "backward", "step")
 
 
-def sample_batch(sampler, plan_cache, n_layers: int, indices: np.ndarray,
-                 null_index: int, rng: np.random.Generator, tracer):
+def sampled_inputs(sampler, plan_cache, n_layers: int,
+                   feature_tensor: Tensor, indices: np.ndarray,
+                   null_index: int, rng: np.random.Generator, tracer):
     """Sample a batch's subgraph and compile (or fetch) its operators.
 
-    Returns ``(None, None)`` when the batch references no real nodes
-    (every context cell masked/missing) — the caller then falls back to
-    pure zero-row vectors.
+    Returns ``(operators, features, local_indices)``: the subgraph's
+    plan, the feature rows of its nodes, and ``indices`` relabeled into
+    local ids (``null_index`` -> the local zero row).  A batch that
+    references no real node (every context cell masked or missing)
+    samples nothing: its operators are ``None``, so
+    :meth:`GrimpModel.node_representations` returns the zero row alone,
+    and every index points at it.
     """
     seeds = indices[indices != null_index]
     if seeds.size == 0:
-        return None, None
+        return (None, Tensor(feature_tensor.data[:0]),
+                np.zeros(indices.shape, dtype=np.int64))
     with tracer.span("sample"):
         subgraph = sampler.sample(seeds, n_layers, rng)
     with tracer.span("compile"):
         operators = plan_cache.get(subgraph)
-    return subgraph, operators
-
-
-def subgraph_vectors(model, subgraph, operators, feature_tensor: Tensor,
-                     indices: np.ndarray, null_index: int) -> Tensor:
-    """Training vectors for a batch from its sampled subgraph.
-
-    Mirrors the full-graph gather: representations for the subgraph's
-    nodes plus the trailing zero row, indexed through the relabeled
-    ``(batch, C)`` matrix.
-    """
-    if subgraph is None:
-        return Tensor(np.zeros(
-            (indices.shape[0], len(model.columns),
-             model.shared.output_dim),
-            dtype=feature_tensor.data.dtype))
-    local_features = feature_tensor[subgraph.nodes]
-    h_extended = model.node_representations(operators, local_features)
-    local = subgraph.local_indices(indices, null_index)
-    return model.training_vectors(h_extended, local)
+    return (operators, feature_tensor[subgraph.nodes],
+            subgraph.local_indices(indices, null_index))
 
 
 def batch_loss(model, column: str, vectors: Tensor, targets: np.ndarray,
                categorical_loss: str) -> Tensor:
-    """One batch's task loss (§3.6: cross-entropy/focal or MSE)."""
+    """One task's loss (§3.6: cross-entropy/focal or MSE)."""
     output = model.task_output(column, vectors)
     if model.kinds[column] == "categorical":
         if categorical_loss == "focal":
@@ -78,11 +72,60 @@ def batch_loss(model, column: str, vectors: Tensor, targets: np.ndarray,
     return mse_loss(output.reshape(targets.shape[0]), targets)
 
 
+def _summed_loss(model, operators, features: Tensor, parts,
+                 categorical_loss: str) -> Tensor:
+    """One forward pass and the sum of every part's task loss."""
+    h_extended = model.node_representations(operators, features)
+    total: Tensor | None = None
+    for column, indices, gather, targets in parts:
+        vectors = model.training_vectors(h_extended, indices, gather=gather)
+        loss = batch_loss(model, column, vectors, targets, categorical_loss)
+        total = loss if total is None else total + loss
+    if total is None:
+        raise RuntimeError("no training samples — is the table empty?")
+    return total
+
+
+def step(model, optimizer, operators, features: Tensor, parts,
+         categorical_loss: str, tracer) -> float:
+    """One in-place optimizer update on the summed loss of ``parts``;
+    returns that loss."""
+    arena = getattr(operators, "arena", None)
+    with use_workspace(arena):
+        optimizer.zero_grad()
+        with tracer.span("forward"):
+            loss = _summed_loss(model, operators, features, parts,
+                                categorical_loss)
+        with tracer.span("backward"):
+            loss.backward()
+        with tracer.span("step"):
+            optimizer.clip_grad_norm(5.0)
+            optimizer.step()
+        # Reduce to a float before the reset returns every pooled
+        # buffer to its pool.
+        value = loss.item()
+    if arena is not None:
+        arena.reset()
+    return value
+
+
+def evaluate(model, operators, features: Tensor, parts,
+             categorical_loss: str) -> float:
+    """The summed loss of ``parts`` without recording gradients."""
+    arena = getattr(operators, "arena", None)
+    with no_grad(), use_workspace(arena):
+        value = _summed_loss(model, operators, features, parts,
+                             categorical_loss).item()
+    if arena is not None:
+        arena.reset()
+    return value
+
+
 def train_shard(*, model, optimizer, sampler, plan_cache,
                 feature_tensor: Tensor, columns: list[str], data,
                 batches, null_index: int, categorical_loss: str,
                 tracer) -> list[float]:
-    """Run every batch of one shard through the sampled training step.
+    """Run every batch of one shard through :func:`step`.
 
     Parameters
     ----------
@@ -93,45 +136,28 @@ def train_shard(*, model, optimizer, sampler, plan_cache,
         ``(task, rows, seed)`` triples in visit order — either a whole
         epoch (serial path) or one shard of it (data-parallel path).
 
-    A batch whose plan-cache entry carries a workspace arena (plans
-    earn one on first reuse) runs its step under that arena —
-    recurring subgraph shapes rent the same buffers every epoch — and
-    the arena is reset once the loss has been reduced to a float.
-    One-off subgraph shapes allocate normally: pooling them would pin
-    memory for shapes that never come back, which is exactly the
-    sampled path's memory-budget claim (see ``bench_sampling``).
+    Only a plan that proved it recurs carries an arena (the plan cache
+    attaches one on first reuse), so recurring subgraph shapes rent the
+    same buffers every epoch while one-off shapes allocate normally:
+    pooling them would pin memory for shapes that never come back,
+    which is exactly the sampled path's memory-budget claim (see
+    ``bench_sampling``).
 
     Returns per-task loss sums weighted by batch size (plain float
     accumulation in visit order, so shard results reduce to the exact
-    serial total when concatenated in shard order).  The model and
-    optimizer are updated in place.
+    serial total when concatenated in shard order).
     """
     sums = [0.0] * len(columns)
     n_layers = model.shared.gnn.n_layers
     for task, rows, seed in batches:
-        column = columns[task]
         indices_all, targets_all = data[task]
         with tracer.span("batch"):
-            rng = np.random.default_rng(seed)
-            indices = indices_all[rows]
-            subgraph, operators = sample_batch(
-                sampler, plan_cache, n_layers, indices, null_index, rng,
+            operators, features, local = sampled_inputs(
+                sampler, plan_cache, n_layers, feature_tensor,
+                indices_all[rows], null_index, np.random.default_rng(seed),
                 tracer)
-            arena = getattr(operators, "arena", None)
-            with use_workspace(arena):
-                optimizer.zero_grad()
-                with tracer.span("forward"):
-                    vectors = subgraph_vectors(
-                        model, subgraph, operators, feature_tensor,
-                        indices, null_index)
-                    loss = batch_loss(model, column, vectors,
-                                      targets_all[rows], categorical_loss)
-                with tracer.span("backward"):
-                    loss.backward()
-                with tracer.span("step"):
-                    optimizer.clip_grad_norm(5.0)
-                    optimizer.step()
-                sums[task] += loss.item() * rows.size
-            if arena is not None:
-                arena.reset()
+            loss = step(model, optimizer, operators, features,
+                        [(columns[task], local, None, targets_all[rows])],
+                        categorical_loss, tracer)
+            sums[task] += loss * rows.size
     return sums

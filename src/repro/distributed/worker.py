@@ -21,26 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Adam, Parameter
+from ..nn import Adam
 from ..sampling import FrozenGraph, NeighborSampler, SubgraphPlanCache
 from ..telemetry import Tracer
-from ..tensor import Tensor
 from .shard import PHASES, train_shard
 
 __all__ = ["dp_worker_init", "dp_train_shard"]
-
-
-class _TableSchema:
-    """Lightweight stand-in for a :class:`repro.data.Table`.
-
-    :class:`repro.core.GrimpModel` reads only ``column_names`` and
-    ``kinds`` from its table argument, so workers rebuild the model
-    from these two fields instead of pickling the whole table.
-    """
-
-    def __init__(self, column_names, kinds):
-        self.column_names = list(column_names)
-        self.kinds = dict(kinds)
 
 
 def dp_worker_init(views, payload) -> dict:
@@ -57,24 +43,21 @@ def dp_worker_init(views, payload) -> dict:
 
     config = payload["config"]
     dtype = np.dtype(config.dtype)
-    schema = _TableSchema(payload["columns"], payload["kinds"])
     # Any seed works: every parameter (and constant, via the
     # include_constants broadcast) is overwritten by the first
     # load_state_dict, which writes in place and preserves parameter
     # identity — the optimizer built below stays bound forever.
-    model = GrimpModel(schema, payload["cardinalities"],
+    model = GrimpModel(payload["columns"], payload["kinds"],
+                       payload["cardinalities"],
                        payload["attribute_vectors"], config,
                        np.random.default_rng(0),
                        fd_related=payload["fd_related"],
                        gnn_edge_types=payload["edge_types"])
-    if config.train_features:
-        # Mirror the trainer's attach-then-cast order so dotted
-        # parameter names (and hence optimizer ordering) match.
-        model.node_features = Parameter(
-            np.zeros(payload["feature_shape"], dtype=dtype))
-    model.astype(dtype)
-    feature_tensor = model.node_features if config.train_features \
-        else Tensor(views["dp_features"])
+    # Trained features are overwritten by the broadcast, so zeros of
+    # the right shape stand in for them.
+    feature_tensor = model.attach_features(
+        np.zeros(payload["feature_shape"], dtype=dtype)
+        if config.train_features else views["dp_features"], dtype)
     frozen = FrozenGraph.from_arrays(payload["edge_types"], views)
     sampler = NeighborSampler(frozen, fanout=config.fanout)
     plan_cache = SubgraphPlanCache(config.plan_cache_size, dtype=dtype)

@@ -163,20 +163,8 @@ def attach_shared(specs: dict, untrack: bool = False) -> dict[str, np.ndarray]:
     return views
 
 
-# Worker-process globals installed by the pool initializer.
+# Shared-memory blocks a worker process attached (kept alive with it).
 _ATTACHED_BLOCKS: list = []
-_WORKER_FN = None
-_WORKER_SHARED: dict[str, np.ndarray] = {}
-
-
-def _init_worker(fn, specs, untrack: bool) -> None:
-    global _WORKER_FN, _WORKER_SHARED
-    _WORKER_FN = fn
-    _WORKER_SHARED = attach_shared(specs, untrack=untrack)
-
-
-def _run_task(task):
-    return _WORKER_FN(task, _WORKER_SHARED)
 
 
 def pool_context():
@@ -260,22 +248,21 @@ def parallel_map(fn, tasks, *, workers: int | None = None,
         return [fn(task, arrays) for task in tasks]
 
     counter("parallel.map.pooled_calls").inc()
-    pack = SharedArrays(shared or {})
-    context = pool_context()
-    untrack = context.get_start_method() != "fork"
-    pool = context.Pool(processes=effective, initializer=_init_worker,
-                        initargs=(fn, pack.specs(), untrack))
-    try:
-        results = pool.map(_run_task, tasks, chunksize=1)
-        pool.close()
-        pool.join()
-    except BaseException:
-        pool.terminate()
-        pool.join()
-        raise
-    finally:
-        pack.close()
-    return results
+    with ShardPool(_map_task, workers=effective, shared=shared,
+                   init_fn=_map_state, payload=fn) as pool:
+        return pool.run(tasks)
+
+
+def _map_state(views, fn):
+    """:func:`parallel_map` on a :class:`ShardPool`: a worker's state
+    is the mapped function itself."""
+    return fn
+
+
+def _map_task(task, views, fn):
+    """:func:`parallel_map` on a :class:`ShardPool`: one task is one
+    ``fn(task, shared)`` call."""
+    return fn(task, views)
 
 
 class _ShardTaskError:

@@ -43,22 +43,20 @@ class SubgraphPlanCache:
     dtype:
         Dtype handed to :class:`~repro.gnn.MessagePassingPlan` (default:
         engine default).
-    arenas:
-        Attach a :class:`~repro.tensor.Workspace` (as ``plan.arena``)
-        to plans that prove they recur — the arena is created on a
-        plan's first cache *hit*, so compile-once subgraph shapes never
-        pin a pool of their own and fall back to the caller's shared
-        workspace instead.  Defaults to the process-wide arena switch
-        (``REPRO_ARENA``).
+
+    While the process-wide arena switch is on (``REPRO_ARENA``), a plan
+    that proves it recurs earns a :class:`~repro.tensor.Workspace` as
+    ``plan.arena`` on its first cache *hit*; the training step rents
+    from it.  Compile-once subgraph shapes never pin a pool of their
+    own and allocate normally.
     """
 
-    def __init__(self, capacity: int = 16, dtype=None,
-                 arenas: bool | None = None) -> None:
+    def __init__(self, capacity: int = 16, dtype=None) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.dtype = dtype
-        self.arenas = arena_enabled() if arenas is None else bool(arenas)
+        self.arenas = arena_enabled()
         self.hits = 0
         self.misses = 0
         self._plans: "OrderedDict[str, MessagePassingPlan]" = OrderedDict()

@@ -34,14 +34,13 @@ import numpy as np
 
 from .. import __version__
 from ..core.config import GrimpConfig
+from ..core.model import GrimpModel, fd_related_columns
 from ..core.trainer import FittedArtifacts, GrimpImputer
-from ..data import NumericNormalizer, Table, TableEncoder
+from ..data import NumericNormalizer, TableEncoder
 from ..fd import FunctionalDependency
 from ..gnn import MessagePassingPlan, PlannedOperator
 from ..graph.builder import TableGraph
 from ..graph.heterograph import CELL, RID, HeteroGraph
-from ..nn import Parameter
-from ..tensor import Tensor
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint",
            "load_imputer", "checkpoint_bundle", "imputer_from_bundle",
@@ -204,7 +203,8 @@ def checkpoint_bundle(imputer: GrimpImputer
         "train_features": bool(hasattr(model, "node_features")),
         "attribute_shape": list(attribute_shape),
         "fd_related": {column: list(indices) for column, indices
-                       in _fd_related(config, artifacts.columns).items()},
+                       in fd_related_columns(config.fds,
+                                             artifacts.columns).items()},
         "vocabularies": vocabularies,
         "normalizer": {"means": dict(artifacts.normalizer.means),
                        "stds": dict(artifacts.normalizer.stds)},
@@ -230,20 +230,6 @@ def save_checkpoint(imputer: GrimpImputer, path) -> Path:
     (path / _MANIFEST).write_text(json.dumps(manifest, indent=1,
                                              allow_nan=True))
     return path
-
-
-def _fd_related(config: GrimpConfig,
-                columns: list[str]) -> dict[str, list[int]]:
-    """Per-column FD-related indices (mirrors the trainer's computation
-    so the K matrices rebuild identically)."""
-    position = {column: index for index, column in enumerate(columns)}
-    related: dict[str, set[int]] = {column: set() for column in columns}
-    for fd in config.fds:
-        names = [name for name in fd.attributes if name in position]
-        for name in names:
-            related[name].update(position[other] for other in names
-                                 if other != name)
-    return {column: sorted(indices) for column, indices in related.items()}
 
 
 # ----------------------------------------------------------------------
@@ -351,10 +337,6 @@ def imputer_from_bundle(manifest: dict, arrays: dict,
     columns = list(manifest["columns"])
     kinds = dict(manifest["kinds"])
 
-    # Schema shim: the model constructor only consumes column names and
-    # kinds; a single all-missing row carries both.
-    schema = Table({column: [None] for column in columns}, kinds=kinds)
-
     vocabularies = {column: [_untag(value) for value in values]
                     for column, values in manifest["vocabularies"].items()}
     encoders = TableEncoder.from_vocabularies(vocabularies)
@@ -365,32 +347,28 @@ def imputer_from_bundle(manifest: dict, arrays: dict,
     fd_related = {column: list(indices) for column, indices
                   in manifest.get("fd_related", {}).items()}
 
-    from ..core.model import GrimpModel
-    model = GrimpModel(schema, cardinalities, attribute_vectors, config,
-                       rng=np.random.default_rng(config.seed),
+    model = GrimpModel(columns, kinds, cardinalities, attribute_vectors,
+                       config, rng=np.random.default_rng(config.seed),
                        fd_related=fd_related,
                        gnn_edge_types=list(manifest["gnn_edge_types"]))
 
     features = arrays["features"]
-    if manifest["train_features"]:
-        model.node_features = Parameter(features.copy())
-    model.astype(dtype)
+    # The parameter load below writes trained features in place, so
+    # they get a private copy — as do constant ones unless shared.
+    feature_tensor = model.attach_features(
+        features.copy() if manifest["train_features"] or not shared_features
+        else features, dtype)
 
     state = {name[len("param/"):]: value for name, value in arrays.items()
              if name.startswith("param/")}
     model.load_state_dict(state)
     model.eval()
 
-    if manifest["train_features"]:
-        if shared_features:
-            # The load above wrote the same bytes into a private copy;
-            # inference-only workers never write feature tensors, so the
-            # parameter can point straight at the shared source view.
-            model.node_features.data = features
-        feature_tensor = model.node_features
-    else:
-        feature_tensor = Tensor(features.astype(dtype,
-                                                copy=not shared_features))
+    if manifest["train_features"] and shared_features:
+        # The load above wrote the same bytes into a private copy;
+        # inference-only workers never write feature tensors, so the
+        # parameter can point straight at the shared source view.
+        model.node_features.data = features
 
     edge_types = list(manifest["adjacency_edge_types"])
     operators = {}

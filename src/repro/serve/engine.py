@@ -28,7 +28,7 @@ import numpy as np
 from ..core.fill import fill_missing
 from ..core.model import build_node_index_matrix
 from ..core.trainer import GrimpImputer
-from ..data import MISSING, Table
+from ..data import MISSING, Table, require_finite
 from ..telemetry import Tracer
 from ..tensor import Tensor, no_grad
 
@@ -57,11 +57,13 @@ def records_to_table(records: list[dict], columns: list[str],
                 data[column].append(MISSING)
             elif kinds[column] == "numerical":
                 try:
-                    data[column].append(float(value))
+                    number = float(value)
                 except (TypeError, ValueError):
                     raise ValueError(
                         f"row {position}, column {column!r}: "
                         f"{value!r} is not numerical") from None
+                data[column].append(require_finite(column, position,
+                                                   number))
             else:
                 data[column].append(value)
     if not records:

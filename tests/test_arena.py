@@ -268,7 +268,7 @@ class TestPlanCacheArenas:
 
     def test_arena_attached_on_first_hit_not_on_compile(self):
         first, second, repeat = self._subgraphs()
-        cache = SubgraphPlanCache(capacity=4, arenas=True)
+        cache = SubgraphPlanCache(capacity=4)
         plan = cache.get(first)
         assert getattr(plan, "arena", None) is None  # compile-once
         cache.get(second)
@@ -277,15 +277,18 @@ class TestPlanCacheArenas:
         assert isinstance(plan.arena, Workspace)
 
     def test_arenas_flag_disables_attachment(self):
+        # The process-wide arena switch, read when the cache is built.
         first, _, repeat = self._subgraphs()
-        cache = SubgraphPlanCache(capacity=4, arenas=False)
+        set_arena_enabled(False)
+        cache = SubgraphPlanCache(capacity=4)
+        set_arena_enabled(True)
         cache.get(first)
         plan = cache.get(repeat)
         assert getattr(plan, "arena", None) is None
 
     def test_arena_stats_sums_cached_entries(self):
         first, second, repeat = self._subgraphs()
-        cache = SubgraphPlanCache(capacity=4, arenas=True)
+        cache = SubgraphPlanCache(capacity=4)
         cache.get(first)
         cache.get(second)
         plan = cache.get(repeat)

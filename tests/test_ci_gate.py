@@ -268,3 +268,20 @@ class TestWorkflowMakefileSync:
         used = self.invoked_targets()
         assert "dp-smoke" in used
         assert "ci-gate" in used
+
+    PYTEST_PATH = re.compile(r"\bpytest\b[^\n]*?\s([\w./-]+\.py)\b")
+
+    def test_dry_run_mirrors_the_workflow(self):
+        # Every make target and every pytest path the workflow runs
+        # must also run in the local dry run.
+        workflow = (REPO_ROOT / ".github" / "workflows" /
+                    "ci.yml").read_text()
+        dry_run = (REPO_ROOT / "scripts" / "ci_dry_run.sh").read_text()
+        targets = set(self.MAKE_INVOCATION.findall(workflow))
+        paths = set(self.PYTEST_PATH.findall(workflow))
+        assert targets and paths, "no CI invocations found — a regex rotted"
+        missing = (targets - set(self.MAKE_INVOCATION.findall(dry_run))) \
+            | (paths - set(self.PYTEST_PATH.findall(dry_run)))
+        assert not missing, \
+            f"ci.yml runs steps scripts/ci_dry_run.sh skips: " \
+            f"{sorted(missing)}"

@@ -40,8 +40,8 @@ def make_model(table, config=None):
     cardinalities = {"city": 2, "country": 2}
     attributes = np.random.default_rng(0).standard_normal(
         (table.n_columns, config.feature_dim))
-    return GrimpModel(table, cardinalities, attributes, config,
-                      np.random.default_rng(0))
+    return GrimpModel(table.column_names, table.kinds, cardinalities,
+                      attributes, config, np.random.default_rng(0))
 
 
 class TestSharedLayer:

@@ -258,9 +258,12 @@ class TestEpochShards:
 # ---------------------------------------------------------------------------
 
 class TestDpConfig:
-    def test_dp_shards_requires_fanout(self):
-        with pytest.raises(ValueError, match="dp_shards requires fanout"):
+    def test_dp_shards_requires_batch_size(self):
+        with pytest.raises(ValueError,
+                           match="dp_shards requires batch_size"):
             GrimpConfig(dp_shards=2)
+        # Without a fanout the shards train on exact neighborhoods.
+        assert GrimpConfig(batch_size=16, dp_shards=2).dp_shards == 2
 
     def test_dp_workers_requires_dp_shards(self):
         with pytest.raises(ValueError, match="dp_workers requires"):
@@ -303,6 +306,12 @@ class TestDataParallelParity:
     def test_single_shard_matches_serial_bits(self):
         serial, serial_cells = run_fit()
         dp, dp_cells = run_fit(dp_shards=1)
+        assert dp.history_ == serial.history_
+        assert dp_cells == serial_cells
+
+    def test_single_shard_without_fanout_matches_serial_bits(self):
+        serial, serial_cells = run_fit(fanout=None)
+        dp, dp_cells = run_fit(dp_shards=1, fanout=None)
         assert dp.history_ == serial.history_
         assert dp_cells == serial_cells
 

@@ -347,9 +347,9 @@ class TestGoldenParity:
                             for sample in samples])
 
         def build_model():
-            model = GrimpModel(normalized, cardinalities,
-                               features.attribute_vectors, config,
-                               np.random.default_rng(0))
+            model = GrimpModel(normalized.column_names, normalized.kinds,
+                               cardinalities, features.attribute_vectors,
+                               config, np.random.default_rng(0))
             model.astype(np.float64)
             return model
 

@@ -147,6 +147,13 @@ class TestEndpoints:
         status, payload = post(server, "/impute", {"rows": []})
         assert status == 400
 
+    def test_non_finite_number_400(self, server):
+        status, payload = post(server, "/impute",
+                               {"row": {"city": "paris", "country": None,
+                                        "population": "nan"}})
+        assert status == 400
+        assert "row 0, column 'population'" in payload["error"]
+
 
 class TestConcurrentClients:
     def test_parallel_requests_all_answered(self, server):
