@@ -6,15 +6,12 @@ precompiled message-passing plan:
 * ``plan64``  — float64: zero sparse conversions per epoch.
 * ``plan32``  — float32 (the training default).
 
-A third *allocation leg* runs ``plan32`` twice — workspace arena off,
-then on (``repro.tensor.arena``) — over enough epochs for the pool's
-steady state to dominate, and records the arena contract as metrics:
-bit-identical results (``arena.accuracy_delta``/``arena.rmse_delta``
-exactly ``0``), the pooled-allocation ratio (``arena.alloc_ratio``,
-roughly the epoch count) and the off/on wall ratio.
-
 Emits a machine-readable ``BENCH_hotpath.json`` with per-phase epoch
-breakdowns (forward/backward/step) and imputation accuracy per run.
+breakdowns (forward/backward/step), minor page faults per epoch of the
+training loop (``faults_per_epoch``: a step whose freed buffers go back
+to the OS faults them in again next step, see
+:func:`repro.distributed.shard.keep_freed_pages`) and imputation
+accuracy per run.
 Absolute epoch times are informational; end-to-end fit time is gated
 by ``perfbench``.  A schema-versioned run manifest
 (``BENCH_hotpath_manifest.json``) is written next to it; the CI gate
@@ -33,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import sys
 from pathlib import Path
 
@@ -43,21 +41,14 @@ from repro.corruption import inject_mcar
 from repro.datasets import load
 from repro.metrics import evaluate_imputation
 from repro.telemetry import build_manifest, write_manifest
-from repro.tensor import arena_enabled, set_arena_enabled
 
 #: (dataset, n_rows, error_rate) per profile; the full profile mirrors
-#: the scale of ``bench_figure9_time.py`` runs.  The ``arena`` entry
-#: configures the allocation leg: the plan32 variant run twice (arena
-#: off/on) over enough epochs that the pool's steady state dominates —
-#: the alloc ratio is roughly the epoch count, since the pool only
-#: allocates on first-epoch misses.
+#: the scale of ``bench_figure9_time.py`` runs.
 PROFILES = {
     "full": {"datasets": [("adult", 240), ("flare", 240)],
-             "error_rate": 0.2, "epochs": 30, "patience": 30,
-             "arena": {"dataset": ("adult", 240), "epochs": 20}},
+             "error_rate": 0.2, "epochs": 30, "patience": 30},
     "smoke": {"datasets": [("adult", 60)],
-              "error_rate": 0.2, "epochs": 4, "patience": 4,
-              "arena": {"dataset": ("adult", 60), "epochs": 10}},
+              "error_rate": 0.2, "epochs": 4, "patience": 4},
 }
 
 #: Hot-path variants benchmarked side by side.
@@ -76,6 +67,7 @@ def run_variant(name: str, dataset: str, n_rows: int, error_rate: float,
     config = GrimpConfig(epochs=epochs, patience=patience, seed=seed,
                          **VARIANTS[name])
     imputer = GrimpImputer(config)
+    loop_faults = _count_loop_faults(imputer)
     imputed = imputer.impute(corruption.dirty)
     score = evaluate_imputation(corruption, imputed)
     timings = imputer.timings_
@@ -97,88 +89,36 @@ def run_variant(name: str, dataset: str, n_rows: int, error_rate: float,
         "step_seconds": seconds("fit/train/epoch/step"),
         "validate_seconds": seconds("fit/train/epoch/validate"),
         "total_seconds": imputer.train_seconds_,
+        "faults_per_epoch": loop_faults["minflt"] / max(1, epochs_ran),
         "accuracy": score.accuracy,
         "rmse": score.rmse,
         "train_conversions": imputer.train_conversions_,
     }
 
 
-def run_arena_leg(dataset: str, n_rows: int, error_rate: float,
-                  epochs: int, seed: int) -> dict:
-    """Run the plan32 variant with the workspace arena off, then on.
+def _count_loop_faults(imputer: GrimpImputer) -> dict:
+    """Record the minor page faults of ``imputer``'s epoch loop into
+    the returned dict (key ``minflt``) once it has run."""
+    loop = imputer._train_loop
+    faults = {"minflt": 0}
 
-    Both runs train on the same corrupted frame with the same seed, so
-    the arena's contract (bit-identical results, pooled allocations)
-    is measured, not assumed: the leg records the imputed-frame
-    equality, the accuracy/rmse deltas (exactly ``0.0`` when the
-    contract holds), the per-epoch wall-time ratio, and the pool's
-    allocation ratio ``(hits + misses) / misses`` — roughly the epoch
-    count, because recurring shapes only miss on the first epoch.
-    """
-    clean = load(dataset, n_rows=n_rows, seed=seed)
-    corruption = inject_mcar(clean, error_rate,
-                             np.random.default_rng(seed + 1))
-    previous = arena_enabled()
-    records: dict[str, dict] = {}
-    frames: dict[str, object] = {}
-    histories: dict[str, list] = {}
-    try:
-        for mode in ("off", "on"):
-            set_arena_enabled(mode == "on")
-            config = GrimpConfig(epochs=epochs, patience=epochs,
-                                 seed=seed, **VARIANTS["plan32"])
-            imputer = GrimpImputer(config)
-            imputed = imputer.impute(corruption.dirty)
-            score = evaluate_imputation(corruption, imputed)
-            epochs_ran = max(1, len(imputer.history_))
-            train = imputer.timings_.get("fit/train", {})
-            record = {
-                "epoch_seconds": float(train.get("seconds", 0.0))
-                / epochs_ran,
-                "epochs_ran": epochs_ran,
-                "accuracy": score.accuracy,
-                "rmse": score.rmse,
-            }
-            arena = imputer.timings_["meta"].get("arena")
-            if arena is not None:
-                record["workspace"] = arena["fit"]
-            records[mode] = record
-            frames[mode] = imputed
-            histories[mode] = imputer.history_
-    finally:
-        set_arena_enabled(previous)
+    def counted(*args, **kwargs):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            return loop(*args, **kwargs)
+        finally:
+            faults["minflt"] = \
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-    stats = records["on"].get("workspace", {})
-    misses = max(1, stats.get("pool_misses", 0))
-    hits = stats.get("pool_hits", 0)
-
-    def delta(key: str) -> float:
-        off, on = records["off"][key], records["on"][key]
-        if np.isnan(off) and np.isnan(on):
-            return 0.0
-        return abs(on - off)
-
-    return {
-        "dataset": dataset,
-        "n_rows": n_rows,
-        "epochs": epochs,
-        "off": records["off"],
-        "on": records["on"],
-        "identical": bool(frames["off"].equals(frames["on"])
-                          and histories["off"] == histories["on"]),
-        "accuracy_delta": delta("accuracy"),
-        "rmse_delta": delta("rmse"),
-        "on_off_ratio": records["off"]["epoch_seconds"]
-        / max(records["on"]["epoch_seconds"], 1e-12),
-        "alloc_ratio": (hits + misses) / misses,
-        "peak_mb": stats.get("peak_bytes", 0) / 1e6,
-    }
+    imputer._train_loop = counted
+    return faults
 
 
 def aggregate(records: list[dict]) -> dict:
     """Mean per-variant numbers across datasets."""
     keys = ("train_seconds", "epoch_seconds", "forward_seconds",
-            "backward_seconds", "step_seconds", "total_seconds")
+            "backward_seconds", "step_seconds", "total_seconds",
+            "faults_per_epoch")
     summary = {key: float(np.mean([record[key] for record in records]))
                for key in keys}
     accuracies = [record["accuracy"] for record in records
@@ -216,18 +156,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:7s} {dataset:12s} "
                   f"epoch={record['epoch_seconds'] * 1e3:8.1f} ms  "
                   f"acc={record['accuracy']:.3f}  "
-                  f"rmse={record['rmse']:.4f}")
-
-    arena_config = profile["arena"]
-    arena_dataset, arena_rows = arena_config["dataset"]
-    arena = run_arena_leg(arena_dataset, arena_rows,
-                          profile["error_rate"], arena_config["epochs"],
-                          args.seed)
-    print(f"arena   {arena_dataset:12s} "
-          f"off={arena['off']['epoch_seconds'] * 1e3:7.1f} ms  "
-          f"on={arena['on']['epoch_seconds'] * 1e3:7.1f} ms  "
-          f"alloc_ratio={arena['alloc_ratio']:.1f}  "
-          f"identical={arena['identical']}")
+                  f"rmse={record['rmse']:.4f}  "
+                  f"faults/epoch={record['faults_per_epoch']:.0f}")
 
     summaries = {name: aggregate(records)
                  for name, records in runs.items()}
@@ -243,7 +173,6 @@ def main(argv: list[str] | None = None) -> int:
             name: records[0]["train_conversions"]
             for name, records in runs.items()
         },
-        "arena": arena,
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -258,13 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         conversions = report["train_conversions"][name]
         metrics[f"train_conversions.{name}"] = \
             float(sum(conversions.values()))
-    metrics["arena.on_off_ratio"] = arena["on_off_ratio"]
-    metrics["arena.alloc_ratio"] = arena["alloc_ratio"]
-    metrics["arena.accuracy_delta"] = arena["accuracy_delta"]
-    metrics["arena.rmse_delta"] = arena["rmse_delta"]
-    metrics["arena.peak_mb"] = arena["peak_mb"]
-    metrics["epoch_ms.arena_off"] = arena["off"]["epoch_seconds"] * 1e3
-    metrics["epoch_ms.arena_on"] = arena["on"]["epoch_seconds"] * 1e3
+    metrics["faults_per_epoch.plan32"] = \
+        summaries["plan32"]["faults_per_epoch"]
     manifest_path = out_path.with_name(out_path.stem + "_manifest.json")
     write_manifest(build_manifest(
         {"kind": "bench", "benchmark": "hotpath",
@@ -274,10 +198,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nepoch time  "
           f"plan64={summaries['plan64']['epoch_seconds'] * 1e3:.1f} ms  "
           f"plan32={summaries['plan32']['epoch_seconds'] * 1e3:.1f} ms")
-    print(f"arena       on/off={arena['on_off_ratio']:.2f}x  "
-          f"alloc_ratio={arena['alloc_ratio']:.1f}x  "
-          f"accuracy_delta={arena['accuracy_delta']:.3g}  "
-          f"rmse_delta={arena['rmse_delta']:.3g}")
     print(f"wrote {out_path}")
     print(f"wrote {manifest_path}")
     return 0

@@ -33,7 +33,7 @@ from .engine import (
 __all__ = ["Float64Drift", "GradDropped", "UngatedTelemetry",
            "RawThreading", "Nondeterminism", "BareExcept",
            "ForkUnsafeThreading", "SharedWriteSafety", "RngProvenance",
-           "ResourceLifecycle", "WorkspaceBypass"]
+           "ResourceLifecycle"]
 
 _NUMPY_NAMES = ("np", "numpy")
 
@@ -566,71 +566,3 @@ class ResourceLifecycle(ProjectRule):
                         f"transfer on some path; its OS state leaks if "
                         f"this frame unwinds"))
         return findings
-
-
-#: numpy allocators a backward closure should rent from the workspace
-#: arena instead of calling directly (fresh pages every step).
-_BACKWARD_ALLOCATORS = ("empty", "zeros", "ones", "full", "empty_like",
-                        "zeros_like", "ones_like", "full_like")
-
-#: Names whose presence shows a backward closure already routes its
-#: scratch through the workspace arena (repro.tensor.arena).
-_WORKSPACE_MARKERS = ("_scratch", "WORKSPACE", "_WORKSPACE")
-
-
-@register
-class WorkspaceBypass(Rule):
-    """RPR011 — backward closures allocating instead of renting."""
-
-    code = "RPR011"
-    title = "fresh ndarray allocation in a hot-path backward closure"
-    severity = "warning"
-    rationale = (
-        "PR 10's workspace arena exists so the autograd hot path stops "
-        "paying an allocation per gradient buffer per step: backward "
-        "closures in repro.tensor/gnn/nn rent shape-keyed scratch via "
-        "_scratch()/WORKSPACE.active.rent() and the arena recycles it "
-        "every reset.  A closure that calls np.empty/np.zeros/"
-        "np.*_like directly opts its op out of pooling — the epoch "
-        "allocation count silently regresses while the arena telemetry "
-        "still looks healthy, because unpooled buffers never show up "
-        "as pool misses.")
-
-    def applies_to(self, module: str) -> bool:
-        return in_package(module, HOT_PACKAGES)
-
-    def check(self, context: LintContext) -> list[Finding]:
-        findings = []
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.FunctionDef) \
-                    or node.name != "backward":
-                continue
-            arguments = [argument.arg for argument in node.args.args]
-            if arguments[:1] == ["self"]:
-                continue  # Tensor.backward itself, not an op closure
-            if self._rents_workspace(node):
-                continue
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call) \
-                        and isinstance(call.func, ast.Attribute) \
-                        and call.func.attr in _BACKWARD_ALLOCATORS \
-                        and _is_numpy(call.func.value):
-                    findings.append(self.finding(
-                        context, call,
-                        f"np.{call.func.attr} in a backward closure "
-                        f"allocates a fresh buffer every step; rent "
-                        f"workspace scratch (_scratch(shape, dtype) or "
-                        f"WORKSPACE.active.rent) so the arena can pool "
-                        f"it across steps"))
-        return findings
-
-    @staticmethod
-    def _rents_workspace(node: ast.FunctionDef) -> bool:
-        """Whether the closure already goes through the arena."""
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and sub.id in _WORKSPACE_MARKERS:
-                return True
-            if isinstance(sub, ast.Attribute) \
-                    and sub.attr in ("rent", "active"):
-                return True
-        return False

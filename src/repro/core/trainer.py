@@ -25,7 +25,7 @@ from ..nn import Adam, EarlyStopping
 from ..sampling import (FrozenGraph, MinibatchIterator, NeighborSampler,
                         SubgraphPlanCache, contiguous_batches)
 from ..telemetry import Tracer
-from ..tensor import Tensor, Workspace, arena_enabled, no_grad
+from ..tensor import Tensor, no_grad
 from .config import GrimpConfig
 from .corpus import build_training_corpus, samples_by_task, split_corpus
 from .fill import Predict, fill_missing
@@ -44,7 +44,7 @@ class FittedArtifacts:
     """
 
     def __init__(self, model, table_graph, adjacencies, feature_tensor,
-                 encoders, normalizer, columns, kinds, node_matrix=None):
+                 encoders, normalizer, columns, kinds):
         self.model = model
         self.table_graph = table_graph
         self.adjacencies = adjacencies
@@ -53,7 +53,6 @@ class FittedArtifacts:
         self.normalizer = normalizer
         self.columns = columns
         self.kinds = kinds
-        self.node_matrix = node_matrix
 
 
 class _TaskData:
@@ -221,11 +220,6 @@ class GrimpImputer(Imputer):
                 adjacencies = MessagePassingPlan(
                     raw_adjacencies, dtype=dtype,
                     build_backward=not use_sampling)
-                # The fit's arena rides on its operators: full-graph
-                # steps and validation rent from it.  Fill never does —
-                # its outputs must outlive any reset.
-                adjacencies.arena = Workspace() if arena_enabled() \
-                    else None
             sampler = None
             self.plan_cache_: SubgraphPlanCache | None = None
             if use_sampling:
@@ -327,20 +321,13 @@ class GrimpImputer(Imputer):
                 if dp is not None and dp.last_plan_cache:
                     meta["sampling"]["dp"]["plan_caches"] = \
                         dp.last_plan_cache
-            if adjacencies.arena is not None:
-                arena_meta = {"fit": adjacencies.arena.stats()}
-                if self.plan_cache_ is not None:
-                    arena_meta["plan_cache"] = \
-                        self.plan_cache_.arena_stats()
-                meta["arena"] = arena_meta
 
             model.load_state_dict(best_state)
             self._artifacts = FittedArtifacts(
                 model=model, table_graph=table_graph,
                 adjacencies=adjacencies, feature_tensor=feature_tensor,
                 encoders=encoders, normalizer=normalizer,
-                columns=list(dirty.column_names), kinds=dict(dirty.kinds),
-                node_matrix=node_matrix)
+                columns=list(dirty.column_names), kinds=dict(dirty.kinds))
             with tracer.span("fill"):
                 if use_sampling:
                     predict = self._sampled_predict(model, sampler,

@@ -15,25 +15,59 @@ in where a step's ``(operators, features, parts)`` come from:
 
 A part is ``(column, indices, gather, targets)``: an ``(n, C)`` index
 matrix into the node representations (trailing zero row included), an
-optional gather operator replacing it, and the task's targets.  The
-step and :func:`evaluate` rent buffers from the arena the operators
-carry (``operators.arena``, :mod:`repro.tensor.arena`), if any.
+optional gather operator replacing it, and the task's targets.
+
+The first :func:`step` of a process calls :func:`keep_freed_pages`, so
+every training path — including data-parallel shard workers under fork
+or spawn — runs with the same allocator setting, and the server, which
+never trains, never gets it.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
-from ..tensor import (Tensor, cross_entropy, focal_loss, mse_loss, no_grad,
-                      use_workspace)
+from ..tensor import Tensor, cross_entropy, focal_loss, mse_loss, no_grad
 
 __all__ = ["PHASES", "sampled_inputs", "batch_loss", "step", "evaluate",
-           "train_shard"]
+           "train_shard", "keep_freed_pages"]
 
 #: Per-batch phases every sampled training step runs through, in order.
 #: Shard workers report wall seconds per phase under these names and
 #: the parent folds them into ``fit/train/epoch/shard/<phase>`` spans.
 PHASES = ("sample", "compile", "forward", "backward", "step")
+
+#: glibc ``mallopt`` parameters (``malloc.h``) and the value both get.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_BYTES = 1 << 30
+
+_pages_kept = False
+
+
+def keep_freed_pages() -> None:
+    """Keep freed training buffers mapped in the heap (idempotent).
+
+    Every step allocates and frees the same few-megabyte buffers.  By
+    default glibc serves each from a fresh ``mmap`` and trims the heap
+    top on ``free``, so every step page-faults its buffers in again.
+    Raising both the mmap and the trim threshold to 1 GiB keeps freed
+    pages in the heap for the next step (raising the mmap threshold
+    alone measured more faults, not fewer).  Where libc has no
+    ``mallopt`` this does nothing.
+    """
+    global _pages_kept
+    if _pages_kept:
+        return
+    _pages_kept = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _KEEP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES)
 
 
 def sampled_inputs(sampler, plan_cache, n_layers: int,
@@ -90,35 +124,25 @@ def step(model, optimizer, operators, features: Tensor, parts,
          categorical_loss: str, tracer) -> float:
     """One in-place optimizer update on the summed loss of ``parts``;
     returns that loss."""
-    arena = getattr(operators, "arena", None)
-    with use_workspace(arena):
-        optimizer.zero_grad()
-        with tracer.span("forward"):
-            loss = _summed_loss(model, operators, features, parts,
-                                categorical_loss)
-        with tracer.span("backward"):
-            loss.backward()
-        with tracer.span("step"):
-            optimizer.clip_grad_norm(5.0)
-            optimizer.step()
-        # Reduce to a float before the reset returns every pooled
-        # buffer to its pool.
-        value = loss.item()
-    if arena is not None:
-        arena.reset()
-    return value
+    keep_freed_pages()
+    optimizer.zero_grad()
+    with tracer.span("forward"):
+        loss = _summed_loss(model, operators, features, parts,
+                            categorical_loss)
+    with tracer.span("backward"):
+        loss.backward()
+    with tracer.span("step"):
+        optimizer.clip_grad_norm(5.0)
+        optimizer.step()
+    return loss.item()
 
 
 def evaluate(model, operators, features: Tensor, parts,
              categorical_loss: str) -> float:
     """The summed loss of ``parts`` without recording gradients."""
-    arena = getattr(operators, "arena", None)
-    with no_grad(), use_workspace(arena):
-        value = _summed_loss(model, operators, features, parts,
-                             categorical_loss).item()
-    if arena is not None:
-        arena.reset()
-    return value
+    with no_grad():
+        return _summed_loss(model, operators, features, parts,
+                            categorical_loss).item()
 
 
 def train_shard(*, model, optimizer, sampler, plan_cache,
@@ -135,13 +159,6 @@ def train_shard(*, model, optimizer, sampler, plan_cache,
     batches:
         ``(task, rows, seed)`` triples in visit order — either a whole
         epoch (serial path) or one shard of it (data-parallel path).
-
-    Only a plan that proved it recurs carries an arena (the plan cache
-    attaches one on first reuse), so recurring subgraph shapes rent the
-    same buffers every epoch while one-off shapes allocate normally:
-    pooling them would pin memory for shapes that never come back,
-    which is exactly the sampled path's memory-budget claim (see
-    ``bench_sampling``).
 
     Returns per-task loss sums weighted by batch size (plain float
     accumulation in visit order, so shard results reduce to the exact

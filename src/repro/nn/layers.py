@@ -51,8 +51,7 @@ class Linear(Module):
         # forward product and its backward run as one large GEMM instead
         # of n small ones — the weight gradient in particular would
         # otherwise materialize an (n, in, out) batched intermediate.
-        # The fused kernel adds the bias in place and feeds its GEMMs
-        # from the workspace arena when one is active.
+        # The fused kernel adds the bias in place.
         if x.ndim > 2:
             shape = x.shape
             flat = x.reshape(-1, self.in_features)
@@ -139,7 +138,7 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim, dtype=get_default_dtype()))
 
     def forward(self, x: Tensor) -> Tensor:
-        # Fused kernel: one graph node, workspace-pooled buffers.
+        # Fused kernel: one graph node, three full-size buffers.
         return layer_norm_fn(x, self.gamma, self.beta, eps=self.eps)
 
 

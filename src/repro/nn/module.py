@@ -148,7 +148,6 @@ class Module:
                 for tensor in tensors:
                     tensor.data = tensor.data.astype(resolved, copy=False)
                     tensor.grad = None
-                    tensor._grad_buffer = None
         return self
 
     # ------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor.arena import WORKSPACE as _WORKSPACE
 from .module import Parameter
 
 __all__ = ["Optimizer", "SGD", "Adam"]
@@ -38,10 +37,6 @@ class Optimizer:
             grad = parameter.grad
             if grad is None:
                 continue
-            # The squared temporary is deliberately not pooled: squaring
-            # into an epoch-cold rented buffer measured slower than the
-            # allocating expression, whose memory was freed (and is
-            # still cache-warm) moments earlier.
             total += float(np.sum(grad ** 2))
         norm = float(np.sqrt(total))
         if norm > max_norm and norm > 0:
@@ -139,7 +134,6 @@ class Adam(Optimizer):
         # possible; the update allocates two temporaries instead of six.
         step_scale = self.lr / correction1
         denom_scale = 1.0 / np.sqrt(correction2)
-        workspace = _WORKSPACE.active
         for parameter, m, v in zip(self.parameters, self._first_moment,
                                    self._second_moment):
             if parameter.grad is None:
@@ -147,26 +141,6 @@ class Adam(Optimizer):
             grad = parameter.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * parameter.data
-            if workspace is not None and grad.dtype == m.dtype and \
-                    grad.shape == m.shape:
-                # The whole update runs through one pooled scratch
-                # buffer, reused sequentially; every ufunc matches the
-                # allocating path below bit-for-bit.
-                scratch = workspace.rent(grad.shape, grad.dtype)
-                np.multiply(grad, 1.0 - self.beta1, out=scratch)
-                m *= self.beta1
-                m += scratch
-                np.square(grad, out=scratch)
-                scratch *= 1.0 - self.beta2
-                v *= self.beta2
-                v += scratch
-                np.sqrt(v, out=scratch)
-                scratch *= denom_scale
-                scratch += self.eps
-                np.divide(m, scratch, out=scratch)
-                scratch *= step_scale
-                parameter.data -= scratch
-                continue
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2

@@ -21,7 +21,6 @@ from collections import OrderedDict
 
 from ..gnn import MessagePassingPlan
 from ..telemetry import counter
-from ..tensor import Workspace, arena_enabled
 from .sampler import SampledSubgraph
 
 __all__ = ["SubgraphPlanCache"]
@@ -43,12 +42,6 @@ class SubgraphPlanCache:
     dtype:
         Dtype handed to :class:`~repro.gnn.MessagePassingPlan` (default:
         engine default).
-
-    While the process-wide arena switch is on (``REPRO_ARENA``), a plan
-    that proves it recurs earns a :class:`~repro.tensor.Workspace` as
-    ``plan.arena`` on its first cache *hit*; the training step rents
-    from it.  Compile-once subgraph shapes never pin a pool of their
-    own and allocate normally.
     """
 
     def __init__(self, capacity: int = 16, dtype=None) -> None:
@@ -56,7 +49,6 @@ class SubgraphPlanCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.dtype = dtype
-        self.arenas = arena_enabled()
         self.hits = 0
         self.misses = 0
         self._plans: "OrderedDict[str, MessagePassingPlan]" = OrderedDict()
@@ -72,11 +64,6 @@ class SubgraphPlanCache:
             self.hits += 1
             _HITS.inc()
             self._plans.move_to_end(key)
-            if self.arenas and getattr(plan, "arena", None) is None:
-                # A plan earns a dedicated arena on first reuse;
-                # eviction later drops the workspace with its plan, so
-                # pooled buffers never outlive the shapes renting them.
-                plan.arena = Workspace()
             return plan
         self.misses += 1
         _MISSES.inc()
@@ -90,18 +77,3 @@ class SubgraphPlanCache:
         """Hit/miss/size snapshot for telemetry and tests."""
         return {"hits": self.hits, "misses": self.misses,
                 "size": len(self._plans)}
-
-    def arena_stats(self) -> dict[str, int]:
-        """Summed rent statistics over every cached entry's workspace."""
-        totals = {"bytes_requested": 0, "pool_hits": 0,
-                  "pool_misses": 0, "peak_bytes": 0}
-        for plan in self._plans.values():
-            workspace = getattr(plan, "arena", None)
-            if workspace is None:
-                continue
-            stats = workspace.stats()
-            totals["bytes_requested"] += stats["bytes_requested"]
-            totals["pool_hits"] += stats["pool_hits"]
-            totals["pool_misses"] += stats["pool_misses"]
-            totals["peak_bytes"] += stats["peak_bytes"]
-        return totals

@@ -8,8 +8,8 @@ two files:
   vocabularies, normalizer statistics, and the graph's cell-node index
   (tagged values, so strings/floats/ints/bools round-trip exactly).
 * ``arrays.npz`` — every model parameter (``param/<dotted name>``), the
-  trained node features, the per-row node-index matrix, and the cached
-  message-passing plan's forward CSR operators (``adj/<i>/...``).
+  trained node features, and the cached message-passing plan's forward
+  CSR operators (``adj/<i>/...``).
 
 Restoring rebuilds the exact inference state: the model skeleton is
 reconstructed from the manifest (constant tensors such as attention
@@ -92,28 +92,10 @@ def _untag(tagged: list):
 
 
 def _config_to_json(config: GrimpConfig) -> dict:
-    payload = {
-        "feature_strategy": config.feature_strategy,
-        "feature_dim": config.feature_dim,
-        "train_features": config.train_features,
-        "gnn_dim": config.gnn_dim,
-        "merge_dim": config.merge_dim,
-        "task_kind": config.task_kind,
-        "k_strategy": config.k_strategy,
-        "fds": [[list(fd.lhs), fd.rhs] for fd in config.fds],
-        "augment_fd_edges": config.augment_fd_edges,
-        "categorical_loss": config.categorical_loss,
-        "epochs": config.epochs,
-        "patience": config.patience,
-        "validation_fraction": config.validation_fraction,
-        "corpus_fraction": config.corpus_fraction,
-        "lr": config.lr,
-        "batch_size": config.batch_size,
-        "gnn_layer_type": config.gnn_layer_type,
-        "dtype": config.dtype,
-        "seed": config.seed,
-        "embdi_kwargs": dict(config.embdi_kwargs),
-    }
+    payload = {field.name: getattr(config, field.name)
+               for field in fields(GrimpConfig)}
+    payload["fds"] = [[list(fd.lhs), fd.rhs] for fd in config.fds]
+    payload["embdi_kwargs"] = dict(config.embdi_kwargs)
     return payload
 
 
@@ -164,9 +146,6 @@ def checkpoint_bundle(imputer: GrimpImputer
     for name, value in model.state_dict().items():
         arrays[f"param/{name}"] = value
     arrays["features"] = np.asarray(artifacts.feature_tensor.data)
-    arrays["node_matrix"] = np.asarray(artifacts.node_matrix,
-                                       dtype=np.int64) \
-        if artifacts.node_matrix is not None else np.zeros((0, 0), np.int64)
     arrays["rid_nodes"] = np.asarray(table_graph.rid_nodes, dtype=np.int64)
 
     edge_types = list(artifacts.adjacencies)
@@ -325,8 +304,8 @@ def imputer_from_bundle(manifest: dict, arrays: dict,
     """Rebuild a fitted imputer from :func:`checkpoint_bundle` pieces.
 
     ``arrays`` values may be read-only views (e.g. attached shared
-    memory): the adjacency CSR components and the per-row node index are
-    adopted as-is, zero-copy, so N worker processes rebuilding from one
+    memory): the adjacency CSR components and the graph's row-node ids
+    are adopted as-is, zero-copy, so N worker processes rebuilding from one
     shared pack hold one physical copy of those arrays.  With
     ``shared_features`` the node-feature matrix is adopted zero-copy
     too (after the parameter load, which only verifies shapes) — valid
@@ -388,15 +367,10 @@ def imputer_from_bundle(manifest: dict, arrays: dict,
                        in manifest["normalizer"]["stds"].items()}
     normalizer._fitted = True
 
-    node_matrix = arrays["node_matrix"]
-    if node_matrix.size == 0:
-        node_matrix = None
-
     imputer = GrimpImputer(config)
     imputer.model_ = model
     imputer._artifacts = FittedArtifacts(
         model=model, table_graph=table_graph, adjacencies=adjacencies,
         feature_tensor=feature_tensor, encoders=encoders,
-        normalizer=normalizer, columns=columns, kinds=kinds,
-        node_matrix=node_matrix)
+        normalizer=normalizer, columns=columns, kinds=kinds)
     return imputer

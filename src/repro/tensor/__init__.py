@@ -1,9 +1,6 @@
 """Reverse-mode autodiff substrate (numpy-backed) used by every neural
 component in the reproduction."""
 
-from .arena import (ARENA_ENV, WORKSPACE, Workspace, use_workspace)
-from .arena import enabled as arena_enabled
-from .arena import set_enabled as set_arena_enabled
 from .tensor import (Tensor, concat, stack, no_grad, is_grad_enabled,
                      get_default_dtype, set_default_dtype, default_dtype)
 from .functional import (
@@ -43,10 +40,4 @@ __all__ = [
     "layer_norm",
     "gradcheck",
     "numeric_gradient",
-    "ARENA_ENV",
-    "WORKSPACE",
-    "Workspace",
-    "use_workspace",
-    "arena_enabled",
-    "set_arena_enabled",
 ]

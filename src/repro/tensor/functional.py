@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _matmul, _scratch, _unbroadcast
+from .tensor import Tensor, _unbroadcast
 
 __all__ = [
     "softmax",
@@ -36,11 +36,11 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     probabilities = exp / denominator
 
     def backward(grad):
-        # ``grad - probabilities * total`` with a pooled product buffer.
+        # ``grad - probabilities * total`` in one product buffer.
         total = grad.sum(axis=axis, keepdims=True)
         scratch = np.multiply(probabilities, total,
-                              out=_scratch(probabilities.shape,
-                                           probabilities.dtype))
+                              out=np.empty(probabilities.shape,
+                                           dtype=probabilities.dtype))
         np.subtract(grad, scratch, out=scratch)
         logits._accumulate(scratch, owned=True)
 
@@ -157,13 +157,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Fused affine ``x @ weight (+ bias)`` as a single graph node.
 
     One node instead of a matmul node plus an add node: the forward
-    adds the bias in place into the product buffer, and the backward
-    runs each gradient GEMM straight into a workspace buffer when an
-    arena is active.  The floating-point operation sequence matches the
-    composed ``(x @ w) + b`` exactly, so switching :class:`repro.nn.
-    Linear` to this kernel changes no results.
+    adds the bias in place into the product buffer.  The floating-point
+    operation sequence matches the composed ``(x @ w) + b`` exactly, so
+    switching :class:`repro.nn.Linear` to this kernel changes no
+    results.
     """
-    out_data = _matmul(x.data, weight.data)
+    out_data = x.data @ weight.data
     if bias is not None:
         if bias.data.dtype == out_data.dtype:
             np.add(out_data, bias.data, out=out_data)
@@ -176,11 +175,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(grad):
         if x.requires_grad:
             x._accumulate(
-                _unbroadcast(_matmul(grad, np.swapaxes(weight.data, -1, -2)),
+                _unbroadcast(grad @ np.swapaxes(weight.data, -1, -2),
                              x.shape), owned=True)
         if weight.requires_grad:
             weight._accumulate(
-                _unbroadcast(_matmul(np.swapaxes(x.data, -1, -2), grad),
+                _unbroadcast(np.swapaxes(x.data, -1, -2) @ grad,
                              weight.shape), owned=True)
         if bias is not None and bias.requires_grad:
             g = _unbroadcast(grad, bias.shape)
@@ -193,24 +192,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                eps: float = 1e-5) -> Tensor:
     """Fused layer normalization over the last dimension.
 
-    ``(x - mean) / sqrt(var + eps) * gamma + beta`` computed with
-    workspace-pooled full-size buffers (four rents instead of roughly a
-    dozen row-sized temporaries from the composed-op formulation); the
-    backward is the standard closed-form LayerNorm gradient, verified
-    by gradcheck in ``tests/test_arena.py``.
+    ``(x - mean) / sqrt(var + eps) * gamma + beta`` computed in three
+    full-size buffers instead of roughly a dozen temporaries from the
+    composed-op formulation; the backward is the standard closed-form
+    LayerNorm gradient, verified by gradcheck in
+    ``tests/test_tensor_functional.py``.
     """
     data = x.data
     dtype = data.dtype
     mean = data.mean(axis=-1, keepdims=True)
-    centered = np.subtract(data, mean, out=_scratch(data.shape, dtype))
+    centered = np.subtract(data, mean, out=np.empty(data.shape, dtype=dtype))
     squared = np.multiply(centered, centered,
-                          out=_scratch(data.shape, dtype))
+                          out=np.empty(data.shape, dtype=dtype))
     rstd = squared.mean(axis=-1, keepdims=True)
     rstd += eps
     np.power(rstd, -0.5, out=rstd)
     normalized = np.multiply(centered, rstd, out=squared)
     out_data = np.multiply(normalized, gamma.data,
-                           out=_scratch(data.shape, dtype))
+                           out=np.empty(data.shape, dtype=dtype))
     if beta.data.dtype == dtype:
         np.add(out_data, beta.data, out=out_data)
     else:
@@ -222,17 +221,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             beta._accumulate(g, owned=g is not grad)
         if gamma.requires_grad:
             scaled = np.multiply(grad, normalized,
-                                 out=_scratch(grad.shape, grad.dtype))
+                                 out=np.empty(grad.shape, dtype=grad.dtype))
             gamma._accumulate(_unbroadcast(scaled, gamma.shape),
                               owned=True)
         if x.requires_grad:
             # dx = rstd * (g - mean(g) - normalized * mean(g * normalized))
             # with g = grad * gamma and means over the last axis.
             g = np.multiply(grad, gamma.data,
-                            out=_scratch(grad.shape, grad.dtype))
+                            out=np.empty(grad.shape, dtype=grad.dtype))
             mean_g = g.mean(axis=-1, keepdims=True)
             projected = np.multiply(g, normalized,
-                                    out=_scratch(grad.shape, grad.dtype))
+                                    out=np.empty(grad.shape, dtype=grad.dtype))
             mean_projected = projected.mean(axis=-1, keepdims=True)
             np.multiply(normalized, mean_projected, out=projected)
             np.subtract(g, mean_g, out=g)

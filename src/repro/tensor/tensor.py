@@ -21,7 +21,6 @@ import numpy as np
 from ..analysis.anomaly import ANOMALY as _ANOMALY
 from ..analysis.anomaly import check_array as _anomaly_check
 from ..telemetry.registry import TENSOR_OPS as _TENSOR_OPS
-from .arena import WORKSPACE as _WORKSPACE
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled",
            "get_default_dtype", "set_default_dtype", "default_dtype"]
@@ -115,57 +114,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _scratch(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A writable buffer for one kernel result: rented from the active
-    workspace when one is armed, freshly allocated otherwise.
-
-    Both paths hand the identical empty buffer shape/dtype to the same
-    ufunc call, so pooled and unpooled results are bit-identical by
-    construction.
-    """
-    workspace = _WORKSPACE.active
-    if workspace is not None:
-        return workspace.rent(shape, dtype)
-    return np.empty(shape, dtype=dtype)
-
-
 def _product(a: np.ndarray, b) -> np.ndarray:
-    """``a * b`` into a scratch buffer.
+    """``a * b`` in ``a``'s shape and dtype.
 
     Backward-closure invariant: ``a`` is the output gradient, which
-    already has the broadcast result shape, so the product lands in a
-    buffer of ``a``'s shape and dtype.  Mixed float precision falls
-    back to numpy's own allocation+promotion.
+    already has the broadcast result shape.  The ``out`` buffer keeps
+    ``a``'s dtype where numpy 2 (NEP 50) would promote, e.g. for a
+    float64 scalar ``b``; mixed float precision arrays fall back to
+    numpy's own promotion.
     """
     if isinstance(b, np.ndarray) and b.dtype != a.dtype \
             and b.dtype.kind != "b":
         return a * b
-    return np.multiply(a, b, out=_scratch(a.shape, a.dtype))
+    return np.multiply(a, b, out=np.empty(a.shape, dtype=a.dtype))
 
 
 def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a / b`` into a scratch buffer (same invariant as `_product`)."""
+    """``a / b`` in ``a``'s shape and dtype (see `_product`)."""
     if b.dtype != a.dtype:
         return a / b
-    return np.divide(a, b, out=_scratch(a.shape, a.dtype))
+    return np.divide(a, b, out=np.empty(a.shape, dtype=a.dtype))
 
 
 def _negative(a: np.ndarray) -> np.ndarray:
-    """``-a`` into a scratch buffer."""
-    return np.negative(a, out=_scratch(a.shape, a.dtype))
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, marking the GEMM sites of the training hot path.
-
-    GEMM outputs are deliberately *not* rented from the workspace:
-    an epoch-scoped pool hands back buffers whose last touch was a
-    full epoch ago, and writing a BLAS product into that cache-cold
-    memory measured ~20% slower than ``a @ b``, whose allocator
-    recycles the step-warm block freed moments earlier.  Pooling pays
-    off only for the small, short-lived backward scratches.
-    """
-    return a @ b
+    """``-a`` in ``a``'s shape and dtype."""
+    return np.negative(a, out=np.empty(a.shape, dtype=a.dtype))
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -203,7 +176,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "op", "_grad_buffer")
+                 "op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype=dtype)
@@ -212,7 +185,6 @@ class Tensor:
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
         self.op = "leaf"
-        self._grad_buffer: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -323,28 +295,12 @@ class Tensor:
                     grad.dtype == self.data.dtype:
                 self.grad = grad
                 return
-            # Otherwise reuse the gradient buffer across zero_grad()/
-            # backward() cycles instead of allocating (and copying into)
-            # a fresh array on every accumulation.  The buffer has the
-            # tensor's own dtype, so mixed-precision gradients are cast
-            # back down at the first accumulation; broadcasting views
-            # (e.g. from ``sum``'s backward) materialize here.
-            buffer = self._grad_buffer
-            if buffer is None or buffer.shape != self.data.shape or \
-                    buffer.dtype != self.data.dtype:
-                workspace = _WORKSPACE.active
-                if workspace is not None:
-                    # Pooled path: rent per accumulation and leave the
-                    # per-tensor cache alone — the rented array returns
-                    # to the pool at the next reset(), so caching it
-                    # here would alias two owners of one buffer.
-                    buffer = workspace.rent(self.data.shape,
-                                            self.data.dtype)
-                else:
-                    buffer = np.empty_like(self.data)
-                    self._grad_buffer = buffer
-            np.copyto(buffer, grad)
-            self.grad = buffer
+            # Otherwise copy into a buffer of the tensor's own dtype:
+            # mixed-precision gradients are cast back down here, and
+            # broadcasting views (e.g. from ``sum``'s backward)
+            # materialize.
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, grad)
         else:
             self.grad += grad
 
@@ -521,8 +477,8 @@ class Tensor:
             # ``grad * exponent * self.data ** (exponent - 1)``.
             scaled = _product(grad, exponent)
             powered = np.power(self.data, exponent - 1,
-                               out=_scratch(self.data.shape,
-                                            self.data.dtype))
+                               out=np.empty(self.data.shape,
+                                            dtype=self.data.dtype))
             np.multiply(scaled, powered, out=scaled)
             self._accumulate(scaled, owned=True)
 
@@ -558,8 +514,8 @@ class Tensor:
         out_data = np.abs(self.data)
 
         def backward(grad):
-            signs = np.sign(self.data, out=_scratch(self.data.shape,
-                                                    self.data.dtype))
+            signs = np.sign(self.data, out=np.empty(self.data.shape,
+                                                    dtype=self.data.dtype))
             np.multiply(grad, signs, out=signs)
             self._accumulate(signs, owned=True)
 
@@ -569,8 +525,8 @@ class Tensor:
         """Rectified linear unit."""
         mask = self.data > 0
         out_data = np.multiply(self.data, mask,
-                               out=_scratch(self.data.shape,
-                                            self.data.dtype))
+                               out=np.empty(self.data.shape,
+                                            dtype=self.data.dtype))
 
         def backward(grad):
             self._accumulate(_product(grad, mask), owned=True)
@@ -594,9 +550,9 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(grad):
-            # ``grad * (1.0 - out_data ** 2)`` with pooled temporaries.
-            scratch = np.power(out_data, 2, out=_scratch(out_data.shape,
-                                                         out_data.dtype))
+            # ``grad * (1.0 - out_data ** 2)`` in one temporary.
+            scratch = np.power(out_data, 2, out=np.empty(out_data.shape,
+                                                         dtype=out_data.dtype))
             np.subtract(1.0, scratch, out=scratch)
             np.multiply(grad, scratch, out=scratch)
             self._accumulate(scratch, owned=True)
@@ -611,11 +567,11 @@ class Tensor:
                             / (1.0 + np.exp(np.clip(self.data, None, 500))))
 
         def backward(grad):
-            # ``grad * out_data * (1.0 - out_data)`` with pooled buffers.
+            # ``grad * out_data * (1.0 - out_data)`` in two temporaries.
             left = _product(grad, out_data)
             right = np.subtract(1.0, out_data,
-                                out=_scratch(out_data.shape,
-                                             out_data.dtype))
+                                out=np.empty(out_data.shape,
+                                             dtype=out_data.dtype))
             np.multiply(left, right, out=left)
             self._accumulate(left, owned=True)
 
@@ -711,12 +667,7 @@ class Tensor:
         out_data = self.data[index]
 
         def backward(grad):
-            # fill(0) on a pooled buffer writes the same zeros a fresh
-            # ``np.zeros_like`` would, and the scatter-add on top is
-            # unchanged — but the (often feature-matrix-sized) buffer
-            # is reused across steps instead of reallocated.
-            full = _scratch(self.data.shape, self.data.dtype)
-            full.fill(0)
+            full = np.zeros(self.data.shape, dtype=self.data.dtype)
             np.add.at(full, index, grad)
             self._accumulate(full, owned=True)
 
@@ -728,7 +679,7 @@ class Tensor:
     def matmul(self, other) -> "Tensor":
         """Matrix product supporting batched operands (numpy ``@`` rules)."""
         other = Tensor.ensure(other)
-        out_data = _matmul(self.data, other.data)
+        out_data = self.data @ other.data
 
         def backward(grad):
             if self.requires_grad:
@@ -739,7 +690,7 @@ class Tensor:
                                                   if g.shape != self.shape else g,
                                                   self.shape), owned=True)
                 else:
-                    g = _matmul(grad, np.swapaxes(other.data, -1, -2))
+                    g = grad @ np.swapaxes(other.data, -1, -2)
                     self._accumulate(_unbroadcast(g, self.shape), owned=True)
             if other.requires_grad:
                 if self.data.ndim == 1:
@@ -754,7 +705,7 @@ class Tensor:
                         @ np.asarray(grad).reshape(-1)
                     other._accumulate(g, owned=True)
                 else:
-                    g = _matmul(np.swapaxes(self.data, -1, -2), grad)
+                    g = np.swapaxes(self.data, -1, -2) @ grad
                     other._accumulate(_unbroadcast(g, other.shape), owned=True)
 
         return self._make(out_data, (self, other), backward, "matmul")

@@ -31,7 +31,7 @@ class TestEngine:
     def test_all_rules_registered(self):
         assert sorted(all_rules()) == [
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR009", "RPR010", "RPR011"]
+            "RPR007", "RPR008", "RPR009", "RPR010"]
 
     def test_get_rule_unknown_raises(self):
         with pytest.raises(KeyError, match="RPR999"):

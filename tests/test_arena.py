@@ -1,16 +1,19 @@
-"""Tests for the workspace arena (Layer 13, ``repro.tensor.arena``).
+"""Tests for the fused kernels and for freed buffers kept in the heap.
 
-Three layers of guarantees:
+The first training step of a process calls
+:func:`repro.distributed.shard.keep_freed_pages`, so freed buffers stay
+mapped in the heap and the next ``np.empty`` of a similar size hands
+one back with whatever its last owner left in it.  Guarantees:
 
-* the :class:`Workspace` pool itself — rent/reset semantics, hit/miss
-  accounting, stale-shape trimming, telemetry flush;
-* the pooled kernels — fused ``linear``/``layer_norm`` gradcheck, and
-  the bit-identity contract: arena-on and arena-off runs produce the
-  *same bits* end to end on every training path (serial full-graph,
-  minibatch, sampled, data-parallel shards);
-* the interaction with the ``REPRO_ANOMALY`` sanitizer — buffer reuse
-  must neither mis-attribute the first bad value nor manufacture
-  spurious findings from stale NaN left in returned pool buffers.
+* the fused ``linear``/``layer_norm`` kernels pass gradcheck and match
+  the composed ops bit for bit;
+* bit identity — a training run on a heap full of freed NaN pages
+  produces the *same bits* as a run before it, on every training path
+  (serial full-graph, minibatch, sampled, data-parallel shards): no
+  kernel reads a buffer before it writes it;
+* the ``REPRO_ANOMALY`` sanitizer still names the op that produced the
+  first bad value, and stale NaN left in freed memory never becomes a
+  spurious finding.
 """
 
 import dataclasses
@@ -22,163 +25,26 @@ from repro.analysis import AnomalyError, detect_anomalies
 from repro.core import GrimpConfig, GrimpImputer
 from repro.corruption import inject_mcar
 from repro.data import Table
-from repro.sampling import FrozenGraph, NeighborSampler, SubgraphPlanCache
-from repro.telemetry.registry import counter
-from repro.tensor import (
-    Tensor,
-    WORKSPACE,
-    Workspace,
-    arena_enabled,
-    gradcheck,
-    linear,
-    layer_norm,
-    set_arena_enabled,
-    use_workspace,
-)
-from repro.tensor.arena import _env_enabled
+from repro.distributed.shard import keep_freed_pages
+from repro.tensor import Tensor, gradcheck, layer_norm, linear
 
 
 @pytest.fixture(autouse=True)
-def arena_default():
-    """Every test starts and ends with the arena enabled (the default)
-    and no workspace active."""
-    set_arena_enabled(True)
-    WORKSPACE.active = None
-    yield
-    set_arena_enabled(True)
-    WORKSPACE.active = None
+def freed_pages_kept():
+    """Every test runs with freed pages kept, as training does."""
+    keep_freed_pages()
 
 
-class TestWorkspace:
-    def test_rent_returns_exact_shape_and_dtype(self):
-        workspace = Workspace()
-        array = workspace.rent((3, 4), np.dtype("float32"))
-        assert array.shape == (3, 4)
-        assert array.dtype == np.float32
-
-    def test_reset_recycles_buffers(self):
-        workspace = Workspace()
-        first = workspace.rent((8,), np.dtype("float32"))
-        workspace.reset()
-        second = workspace.rent((8,), np.dtype("float32"))
-        assert second is first
-        stats = workspace.stats()
-        assert stats["pool_hits"] == 1
-        assert stats["pool_misses"] == 1
-
-    def test_no_double_handout_within_one_scope(self):
-        workspace = Workspace()
-        first = workspace.rent((4,), np.dtype("float32"))
-        second = workspace.rent((4,), np.dtype("float32"))
-        assert first is not second
-
-    def test_distinct_keys_never_alias(self):
-        workspace = Workspace()
-        a = workspace.rent((4,), np.dtype("float32"))
-        b = workspace.rent((4,), np.dtype("float64"))
-        c = workspace.rent((2, 2), np.dtype("float32"))
-        assert {id(a), id(b), id(c)} == {id(a)} | {id(b)} | {id(c)}
-
-    def test_bytes_requested_accumulates(self):
-        workspace = Workspace()
-        workspace.rent((4,), np.dtype("float32"))
-        workspace.reset()
-        workspace.rent((4,), np.dtype("float32"))
-        assert workspace.stats()["bytes_requested"] == 32
-
-    def test_peak_bytes_tracks_held_high_water(self):
-        workspace = Workspace()
-        workspace.rent((256,), np.dtype("float32"))
-        workspace.rent((256,), np.dtype("float32"))
-        workspace.reset()
-        # Steady state re-rents the same two buffers: peak is flat.
-        workspace.rent((256,), np.dtype("float32"))
-        workspace.rent((256,), np.dtype("float32"))
-        workspace.reset()
-        assert workspace.stats()["peak_bytes"] == 2 * 1024
-
-    def test_stale_shapes_trimmed_after_horizon(self):
-        workspace = Workspace(trim_after=2)
-        stale = workspace.rent((16,), np.dtype("float32"))
-        workspace.reset()
-        for _ in range(3):
-            workspace.rent((8,), np.dtype("float32"))
-            workspace.reset()
-        fresh = workspace.rent((16,), np.dtype("float32"))
-        assert fresh is not stale  # the old pool was released
-        # The recurring shape is still pooled.
-        recurring = workspace.rent((8,), np.dtype("float32"))
-        assert workspace.stats()["pool_hits"] >= 3
-        assert recurring.shape == (8,)
-
-    def test_recurring_shape_survives_trim(self):
-        workspace = Workspace(trim_after=2)
-        kept = workspace.rent((16,), np.dtype("float32"))
-        workspace.reset()
-        for _ in range(6):
-            assert workspace.rent((16,), np.dtype("float32")) is kept
-            workspace.reset()
-
-    def test_reset_flushes_global_telemetry(self):
-        hits = counter("arena.pool_hits")
-        misses = counter("arena.pool_misses")
-        requested = counter("arena.bytes_requested")
-        before = (hits.value, misses.value, requested.value)
-        workspace = Workspace()
-        workspace.rent((4,), np.dtype("float32"))
-        workspace.reset()
-        workspace.rent((4,), np.dtype("float32"))
-        # Pending tallies flush at reset, not per rent.
-        assert (hits.value, misses.value, requested.value) == \
-            (before[0], before[1] + 1, before[2] + 16)
-        workspace.reset()
-        assert (hits.value, misses.value, requested.value) == \
-            (before[0] + 1, before[1] + 1, before[2] + 32)
-
-
-class TestUseWorkspace:
-    def test_activates_and_restores(self):
-        workspace = Workspace()
-        assert WORKSPACE.active is None
-        with use_workspace(workspace):
-            assert WORKSPACE.active is workspace
-        assert WORKSPACE.active is None
-
-    def test_none_is_a_no_op(self):
-        outer = Workspace()
-        WORKSPACE.active = outer
-        with use_workspace(None):
-            assert WORKSPACE.active is outer
-        assert WORKSPACE.active is outer
-
-    def test_nesting_restores_the_outer_workspace(self):
-        outer, inner = Workspace(), Workspace()
-        with use_workspace(outer):
-            with use_workspace(inner):
-                assert WORKSPACE.active is inner
-            assert WORKSPACE.active is outer
-        assert WORKSPACE.active is None
-
-    def test_restores_on_exception(self):
-        workspace = Workspace()
-        with pytest.raises(RuntimeError):
-            with use_workspace(workspace):
-                raise RuntimeError("boom")
-        assert WORKSPACE.active is None
-
-    def test_env_parsing(self):
-        assert _env_enabled(None)  # default on
-        assert _env_enabled("1")
-        assert not _env_enabled("0")
-        assert not _env_enabled("")
-        assert not _env_enabled("false")
-
-    def test_set_enabled_round_trip(self):
-        assert arena_enabled()
-        set_arena_enabled(False)
-        assert not arena_enabled()
-        set_arena_enabled(True)
-        assert arena_enabled()
+def poison_heap(max_bytes=1 << 22):
+    """Allocate NaN-filled buffers of many sizes, then free them all, so
+    later allocations are likely to reuse NaN-filled memory."""
+    buffers = []
+    size = 8
+    while size <= max_bytes:
+        for _ in range(4):
+            buffers.append(np.full(size // 8, np.nan))
+        size *= 2
+    del buffers
 
 
 class TestFusedKernels:
@@ -221,82 +87,35 @@ class TestFusedKernels:
             [x, gamma, beta])
 
     def test_pooled_step_is_bit_identical(self):
-        """One optimizer-style loop with and without a workspace must
-        produce identical bits — the single-code-path contract."""
+        """One optimizer-style loop on a poisoned heap must produce the
+        same bits as the same loop on a fresh one."""
         rng = np.random.default_rng(3)
         data = rng.normal(size=(8, 5)).astype(np.float32)
         w = rng.normal(size=(5, 4)).astype(np.float32)
 
-        def run(workspace):
+        def run(poison):
             x = Tensor(data.copy(), requires_grad=True)
             weight = Tensor(w.copy(), requires_grad=True)
             grads = []
             for _ in range(3):
-                with use_workspace(workspace):
-                    out = (x @ weight).relu()
-                    loss = (out ** 2).sum()
-                    loss.backward()
-                    grads.append((x.grad.copy(), weight.grad.copy(),
-                                  float(loss.data)))
-                    x.zero_grad()
-                    weight.zero_grad()
-                if workspace is not None:
-                    workspace.reset()
+                if poison:
+                    poison_heap()
+                out = (x @ weight).relu()
+                loss = (out ** 2).sum()
+                loss.backward()
+                grads.append((x.grad.copy(), weight.grad.copy(),
+                              float(loss.data)))
+                x.zero_grad()
+                weight.zero_grad()
             return grads
 
-        pooled = run(Workspace())
-        fresh = run(None)
-        for (gx_a, gw_a, loss_a), (gx_b, gw_b, loss_b) in zip(pooled,
+        fresh = run(False)
+        poisoned = run(True)
+        for (gx_a, gw_a, loss_a), (gx_b, gw_b, loss_b) in zip(poisoned,
                                                               fresh):
             assert np.array_equal(gx_a, gx_b)
             assert np.array_equal(gw_a, gw_b)
             assert loss_a == loss_b
-
-
-class TestPlanCacheArenas:
-    def _subgraphs(self):
-        from scipy import sparse
-
-        rng = np.random.default_rng(0)
-        dense = (rng.random((12, 12)) < 0.3).astype(np.float32)
-        np.fill_diagonal(dense, 1.0)
-        dense /= dense.sum(axis=1, keepdims=True)
-        frozen = FrozenGraph.freeze({"a": sparse.csr_matrix(dense)})
-        sampler = NeighborSampler(frozen, fanout=0)
-        return [sampler.sample(np.array([seed]), 1)
-                for seed in (0, 1, 0)]
-
-    def test_arena_attached_on_first_hit_not_on_compile(self):
-        first, second, repeat = self._subgraphs()
-        cache = SubgraphPlanCache(capacity=4)
-        plan = cache.get(first)
-        assert getattr(plan, "arena", None) is None  # compile-once
-        cache.get(second)
-        hit = cache.get(repeat)
-        assert hit is plan
-        assert isinstance(plan.arena, Workspace)
-
-    def test_arenas_flag_disables_attachment(self):
-        # The process-wide arena switch, read when the cache is built.
-        first, _, repeat = self._subgraphs()
-        set_arena_enabled(False)
-        cache = SubgraphPlanCache(capacity=4)
-        set_arena_enabled(True)
-        cache.get(first)
-        plan = cache.get(repeat)
-        assert getattr(plan, "arena", None) is None
-
-    def test_arena_stats_sums_cached_entries(self):
-        first, second, repeat = self._subgraphs()
-        cache = SubgraphPlanCache(capacity=4)
-        cache.get(first)
-        cache.get(second)
-        plan = cache.get(repeat)
-        plan.arena.rent((4,), np.dtype("float32"))
-        plan.arena.reset()
-        totals = cache.arena_stats()
-        assert totals["pool_misses"] == 1
-        assert totals["bytes_requested"] == 16
 
 
 def structured_table(n_rows=48, seed=0):
@@ -327,50 +146,42 @@ def _fit(config):
     cells = [imputed.get(row, column)
              for column in imputed.column_names
              for row in range(imputed.n_rows)]
-    return history, cells, imputer
+    return history, cells
 
 
-def _assert_on_off_identical(config):
-    set_arena_enabled(True)
-    history_on, cells_on, imputer = _fit(config)
-    set_arena_enabled(False)
-    history_off, cells_off, _ = _fit(config)
-    set_arena_enabled(True)
-    assert history_on == history_off
-    assert cells_on == cells_off
-    return imputer
+def _assert_poisoned_heap_identical(config):
+    history_a, cells_a = _fit(config)
+    poison_heap()
+    history_b, cells_b = _fit(config)
+    assert history_a
+    assert history_a == history_b
+    assert cells_a == cells_b
 
 
 class TestBitIdentityGoldens:
-    """Arena-on and arena-off runs must match to the last bit on every
-    training path — loss history and every imputed cell."""
+    """A fit on a heap of freed NaN pages must match the fit before it
+    to the last bit on every training path — loss history and every
+    imputed cell."""
 
     def test_serial_full_graph(self):
-        imputer = _assert_on_off_identical(BASE)
-        stats = imputer.timings_["meta"]["arena"]["fit"]
-        assert stats["pool_hits"] > stats["pool_misses"]
+        _assert_poisoned_heap_identical(BASE)
 
     def test_minibatch(self):
         # batch_size without a fanout trains exactly as fanout=0.
-        imputer = _assert_on_off_identical(
+        _assert_poisoned_heap_identical(
             dataclasses.replace(BASE, batch_size=16))
-        totals = imputer.plan_cache_.arena_stats()
-        assert totals["pool_hits"] > 0
 
     def test_sampled(self):
-        # fanout=0 keeps whole neighborhoods: subgraph signatures
-        # recur across epochs, so plan-cache arenas actually engage.
-        imputer = _assert_on_off_identical(
+        # fanout=0 keeps whole neighborhoods, so subgraph plans recur.
+        _assert_poisoned_heap_identical(
             dataclasses.replace(BASE, batch_size=16, fanout=0))
-        totals = imputer.plan_cache_.arena_stats()
-        assert totals["pool_hits"] > 0
 
     def test_sampled_finite_fanout(self):
-        _assert_on_off_identical(
+        _assert_poisoned_heap_identical(
             dataclasses.replace(BASE, batch_size=16, fanout=3))
 
     def test_dp_shards(self):
-        _assert_on_off_identical(
+        _assert_poisoned_heap_identical(
             dataclasses.replace(BASE, epochs=2, batch_size=16, fanout=3,
                                 dp_shards=2))
 
@@ -380,45 +191,40 @@ class TestBitIdentityGoldens:
 class TestArenaAnomalyInteraction:
     def test_backward_inf_attributed_with_pooled_buffers(self):
         """First-bad-value attribution survives buffer reuse: the op
-        named is still the producer, not a later pooled consumer."""
-        workspace = Workspace()
-        # Warm the pool so the failing step runs entirely on reuse.
-        with use_workspace(workspace):
-            x = Tensor(np.array([4.0]), requires_grad=True)
-            x.sqrt().sum().backward()
-        workspace.reset()
-        with use_workspace(workspace):
-            x = Tensor(np.array([0.0]), requires_grad=True)
-            y = x.sqrt().sum()
-            with detect_anomalies():
-                with pytest.raises(AnomalyError) as excinfo:
-                    y.backward()
-        workspace.reset()
+        named is still the producer, not a later consumer that got a
+        recycled buffer."""
+        # Warm the heap so the failing step runs on recycled memory.
+        x = Tensor(np.array([4.0]), requires_grad=True)
+        x.sqrt().sum().backward()
+        del x
+        x = Tensor(np.array([0.0]), requires_grad=True)
+        y = x.sqrt().sum()
+        with detect_anomalies():
+            with pytest.raises(AnomalyError) as excinfo:
+                y.backward()
         assert excinfo.value.phase == "backward"
         assert excinfo.value.op == "pow"
         assert excinfo.value.kind == "inf"
 
     def test_stale_nan_in_pool_causes_no_spurious_error(self):
         """A NaN-poisoned step must not leak NaN into the next step
-        through the pool: every kernel fully overwrites its buffer."""
-        workspace = Workspace()
-        with use_workspace(workspace):
-            x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-            (x * float("nan")).sum().backward()  # poison the buffers
-        workspace.reset()
-        with use_workspace(workspace):
-            x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-            with detect_anomalies():
-                loss = (x * 3.0).sum()
-                loss.backward()  # must reuse buffers and stay silent
-        workspace.reset()
+        through freed memory: every kernel fully overwrites its
+        buffer."""
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        (x * float("nan")).sum().backward()  # poison the buffers
+        del x
+        poison_heap()
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with detect_anomalies():
+            loss = (x * 3.0).sum()
+            loss.backward()  # runs on recycled memory and stays silent
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
     def test_forward_nan_attributed_under_workspace(self):
-        with use_workspace(Workspace()):
-            x = Tensor([1.0, 2.0], requires_grad=True)
-            with detect_anomalies():
-                with pytest.raises(AnomalyError) as excinfo:
-                    x * float("nan")
+        poison_heap()
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with detect_anomalies():
+            with pytest.raises(AnomalyError) as excinfo:
+                x * float("nan")
         assert excinfo.value.op == "mul"
         assert excinfo.value.phase == "forward"

@@ -22,7 +22,7 @@ import pytest
 from repro.core import GrimpConfig, GrimpImputer
 from repro.corruption import inject_mcar
 from repro.data import Table
-from repro.distributed import PHASES, train_shard
+from repro.distributed import PHASES, shard, train_shard
 from repro.nn import Adam, Parameter
 from repro.parallel import (BENCH_CORES_ENV, ShardPool,
                             schedulable_cores)
@@ -40,6 +40,58 @@ def structured_table(n_rows=40, seed=0):
         "country": [country_of[city] for city in chosen],
         "population": [float(index % 7) for index in range(n_rows)],
     })
+
+
+# ---------------------------------------------------------------------------
+# The allocator setting every training step applies
+# ---------------------------------------------------------------------------
+
+class _CountingLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestKeepFreedPages:
+    def test_second_call_is_a_no_op(self, monkeypatch):
+        libc = _CountingLibc()
+        monkeypatch.setattr(shard.ctypes, "CDLL", lambda name: libc)
+        monkeypatch.setattr(shard, "_pages_kept", False)
+        shard.keep_freed_pages()
+        shard.keep_freed_pages()
+        assert libc.calls == [(-3, 1 << 30), (-1, 1 << 30)]
+
+    def test_silent_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(shard.ctypes, "CDLL", lambda name: object())
+        monkeypatch.setattr(shard, "_pages_kept", False)
+        shard.keep_freed_pages()
+        shard.keep_freed_pages()
+
+    def test_silent_without_libc(self, monkeypatch):
+        def missing(name):
+            raise OSError("no C library")
+        monkeypatch.setattr(shard.ctypes, "CDLL", missing)
+        monkeypatch.setattr(shard, "_pages_kept", False)
+        shard.keep_freed_pages()
+
+    def test_real_libc_call_is_safe_twice(self, monkeypatch):
+        monkeypatch.setattr(shard, "_pages_kept", False)
+        shard.keep_freed_pages()
+        shard.keep_freed_pages()
+
+    def test_step_applies_the_setting(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(shard, "keep_freed_pages",
+                            lambda: calls.append(1))
+        config = GrimpConfig(feature_dim=8, gnn_dim=8, merge_dim=8,
+                             epochs=2, patience=2, seed=0)
+        corruption = inject_mcar(structured_table(), 0.2,
+                                 np.random.default_rng(1))
+        GrimpImputer(config).impute(corruption.dirty)
+        assert len(calls) == 2  # one full-graph step per epoch
 
 
 # ---------------------------------------------------------------------------

@@ -249,57 +249,6 @@ FIXTURES = {
              "        self._pack = SharedArrays(arrays)\n"),
         ],
     },
-    "RPR011": {
-        # Backward closures allocating instead of renting workspace
-        # scratch (repro.tensor.arena).
-        "true": [
-            ("repro.tensor.x",
-             "def mul(self, other):\n"
-             "    def backward(grad):\n"
-             "        out = np.empty_like(grad)\n"
-             "        np.multiply(grad, other, out=out)\n"
-             "        return out\n"
-             "    return backward\n"),
-            ("repro.gnn.x",
-             "def gather(index, shape, dtype):\n"
-             "    def backward(grad):\n"
-             "        full = np.zeros(shape, dtype=dtype)\n"
-             "        np.add.at(full, index, grad)\n"
-             "        return full\n"
-             "    return backward\n"),
-        ],
-        "false": [
-            # Renting through the arena helper is the sanctioned path.
-            ("repro.tensor.x",
-             "def mul(self, other):\n"
-             "    def backward(grad):\n"
-             "        out = _scratch(grad.shape, grad.dtype)\n"
-             "        np.multiply(grad, other, out=out)\n"
-             "        return out\n"
-             "    return backward\n"),
-            # Renting directly from the active workspace also counts.
-            ("repro.nn.x",
-             "def step(shape, dtype):\n"
-             "    def backward(grad):\n"
-             "        out = WORKSPACE.active.rent(shape, dtype)\n"
-             "        np.copyto(out, grad)\n"
-             "        return out\n"
-             "    return backward\n"),
-            # Tensor.backward (a method) is the entry point, not a
-            # per-op closure.
-            ("repro.tensor.x",
-             "class Tensor:\n"
-             "    def backward(self, grad=None):\n"
-             "        seed = np.ones(self.shape, dtype=self.dtype)\n"
-             "        return seed\n"),
-            # Out of scope: non-hot packages allocate freely.
-            ("repro.serve.x",
-             "def op():\n"
-             "    def backward(grad):\n"
-             "        return np.empty_like(grad)\n"
-             "    return backward\n"),
-        ],
-    },
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for checkpoint save/load and the inference engine."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from repro.core import GrimpConfig, GrimpImputer
 from repro.corruption import inject_mcar
 from repro.data import MISSING, Table, read_csv, write_csv
 from repro.fd import FunctionalDependency
+from repro.serve.checkpoint import _config_from_json, _config_to_json
 from repro.serve import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -111,6 +113,41 @@ class TestRoundTrip:
         dirty = fresh_rows()
         assert reloaded.impute_new_rows(dirty).to_rows() == \
             imputer.impute_new_rows(dirty).to_rows()
+
+    def test_every_config_field_round_trips(self):
+        """Every :class:`GrimpConfig` field survives the manifest, not
+        just a hand-picked list (a reloaded ``fanout`` of ``None`` would
+        silently switch to exact neighbourhoods)."""
+        config = GrimpConfig(
+            feature_strategy="embdi", feature_dim=7, train_features=False,
+            gnn_dim=9, merge_dim=11, task_kind="linear",
+            k_strategy="weak_diagonal_fd",
+            fds=(FunctionalDependency(("city",), "country"),),
+            augment_fd_edges=True, categorical_loss="focal", epochs=3,
+            patience=2, validation_fraction=0.3, corpus_fraction=0.5,
+            lr=0.02, batch_size=64, fanout=2, plan_cache_size=4,
+            dp_shards=2, dp_workers=3, gnn_layer_type="gcn",
+            dtype="float64", seed=5, embdi_kwargs={"walks_per_node": 3})
+        default = GrimpConfig()
+        for field in dataclasses.fields(GrimpConfig):
+            assert getattr(config, field.name) != \
+                getattr(default, field.name), field.name
+        payload = json.loads(json.dumps(_config_to_json(config)))
+        assert _config_from_json(payload) == config
+
+    def test_legacy_node_matrix_array_is_ignored(self, fitted32, tmp_path):
+        """Checkpoints that still carry the retired per-row
+        ``node_matrix`` array load and impute unchanged."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(fitted32, path)
+        with np.load(path / "arrays.npz") as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        assert "node_matrix" not in arrays
+        arrays["node_matrix"] = np.arange(12, dtype=np.int64).reshape(4, 3)
+        np.savez(path / "arrays.npz", **arrays)
+        dirty = fresh_rows()
+        assert load_imputer(path).impute_new_rows(dirty).to_rows() == \
+            fitted32.impute_new_rows(dirty).to_rows()
 
     def test_fresh_process_identical(self, fitted32, tmp_path):
         """A brand-new interpreter must reproduce imputations exactly."""
