@@ -2,7 +2,7 @@
 
 Fits GRIMP once on a corrupted dataset, saves/reloads a checkpoint, and
 then drives the inference engine over a stream of *new* dirty rows in
-four modes:
+five modes:
 
 * ``unbatched``     — one engine call per row (the naive online path).
 * ``batched``       — engine calls over ``max_batch_size``-row slices
@@ -15,6 +15,11 @@ four modes:
   generator sweeps client concurrency x worker count through the
   :class:`~repro.serve.Dispatcher` (pre-fork workers attached to the
   shared checkpoint pack, per-worker micro-batching).
+* ``http_keepalive`` — back-to-back single-row ``POST /impute``
+  requests to an :class:`~repro.serve.ImputationServer` (in-process
+  tier) over one reused ``http.client`` connection: the transport the
+  modes above skip, where a reply split across writes would wait for
+  the client's delayed ACK.
 
 The dispatched sweep also checks workers=1 per-row parity against the
 in-process engine (equal batch partitions — see docs/serving.md for
@@ -37,6 +42,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import platform
 import sys
@@ -50,8 +56,9 @@ from repro.core import GrimpConfig, GrimpImputer
 from repro.corruption import inject_mcar
 from repro.datasets import load
 from repro.parallel import schedulable_cores
-from repro.serve import Dispatcher, InferenceEngine, MicroBatcher, \
-    ServingMetrics, load_imputer, percentile, save_checkpoint
+from repro.serve import Dispatcher, ImputationServer, InferenceEngine, \
+    MicroBatcher, ServingMetrics, load_imputer, percentile, \
+    save_checkpoint
 from repro.serve.engine import table_to_records
 from repro.telemetry import build_manifest, write_manifest
 
@@ -216,6 +223,46 @@ def run_dispatched(engine: InferenceEngine, records: list[dict],
     return stats
 
 
+def run_http_keepalive(engine: InferenceEngine, records: list[dict],
+                       batch_size: int, max_delay_ms: float) -> dict:
+    """Single rows, one at a time, over one keep-alive HTTP connection.
+
+    Each request waits for the previous reply, so every row is a
+    server batch of one: the latency is the batching delay, one engine
+    call and the HTTP transport.
+    """
+    server = ImputationServer(engine, port=0, max_batch_size=batch_size,
+                              max_delay_ms=max_delay_ms).start()
+    connection = http.client.HTTPConnection(server.host, server.port,
+                                            timeout=60.0)
+    bodies = [json.dumps({"row": record}) for record in records]
+
+    def post(body: str) -> None:
+        connection.request("POST", "/impute", body,
+                           {"Content-Type": "application/json"})
+        response = connection.getresponse()
+        reply = response.read()
+        if response.status != 200:
+            raise RuntimeError(f"/impute answered {response.status}: "
+                               f"{reply[:200]!r}")
+
+    try:
+        # Open the connection and warm the handler before timing.
+        for body in bodies[:2]:
+            post(body)
+        latencies = []
+        started = time.perf_counter()
+        for body in bodies:
+            t0 = time.perf_counter()
+            post(body)
+            latencies.append(time.perf_counter() - t0)
+        total = time.perf_counter() - started
+    finally:
+        connection.close()
+        server.stop()
+    return _latency_stats(latencies, total, len(records))
+
+
 def check_dispatched_parity(engine: InferenceEngine, records: list[dict],
                             batch_size: int) -> bool:
     """Per-row parity: dispatched workers=1 vs the in-process engine.
@@ -304,6 +351,11 @@ def main(argv: list[str] | None = None) -> int:
                           args.max_delay_ms, args.threads)
          for _ in range(3)),
         key=lambda stats: stats["p99_ms"])
+    http_keepalive = run_http_keepalive(engine, records,
+                                        args.max_batch_size,
+                                        args.max_delay_ms)
+    print(f"http keep-alive: p50 {http_keepalive['p50_ms']:.2f} ms  "
+          f"p99 {http_keepalive['p99_ms']:.2f} ms")
 
     sweep = []
     for n_workers in profile["sweep_workers"]:
@@ -388,6 +440,8 @@ def main(argv: list[str] | None = None) -> int:
         "unbatched": unbatched,
         "batched": batched,
         "microbatched": microbatched,
+        "http_keepalive": http_keepalive,
+        "http_keepalive_p50_ms": http_keepalive["p50_ms"],
         "dispatched": {"sweep": sweep, "top_workers": top_workers,
                        "parity": dispatched_parity},
         "scaling": {"cpu_count": cpu_count,
@@ -430,6 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         "mean_batch_size": microbatched["mean_batch_size"],
         "mean_batch_size.dispatched_top":
             dispatched_top["mean_batch_size"],
+        "http_keepalive_p50_ms": http_keepalive["p50_ms"],
     }
     manifest_path = out_path.with_name(out_path.stem + "_manifest.json")
     write_manifest(build_manifest(

@@ -10,6 +10,7 @@ dispatcher so the status-code paths are deterministic.
 import json
 import os
 import signal
+import statistics
 import threading
 import time
 import urllib.error
@@ -18,6 +19,8 @@ import urllib.request
 import numpy as np
 import pytest
 
+from http_keepalive import keepalive_round_trips, record_transport, \
+    split_reply
 from repro.core import GrimpConfig, GrimpImputer
 from repro.corruption import inject_mcar
 from repro.data import Table
@@ -387,6 +390,37 @@ class TestHttpFailureMapping:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["workers_ready"] == 2
+
+
+class TestDispatchedKeepAliveTransport:
+    """The dispatched tier shares the HTTP handler and its transport."""
+
+    ROW = {"row": {"city": "paris", "country": None, "population": 2.1}}
+
+    def test_back_to_back_requests_do_not_stall(self, stub_server):
+        trips = keepalive_round_trips(stub_server, self.ROW, 20)
+        for _, status, reply in trips:
+            assert status == 200
+            assert reply["row"] == self.ROW["row"]
+        median_ms = statistics.median(
+            seconds for seconds, _, _ in trips) * 1e3
+        assert median_ms < 20.0
+
+    def test_each_reply_is_one_write_on_a_nodelay_socket(
+            self, stub_server, monkeypatch):
+        connections = record_transport(stub_server, monkeypatch)
+        keepalive_round_trips(stub_server, self.ROW, 5)
+        stub_server.dispatcher.error = QueueFull(64)
+        keepalive_round_trips(stub_server, self.ROW, 1)
+        assert [entry["nodelay"] != 0 for entry in connections] == \
+            [True, True]
+        replies = [split_reply(write) for entry in connections
+                   for write in entry["writes"]]
+        assert [status_line for status_line, _, _ in replies] == \
+            ["HTTP/1.1 200 OK"] * 5 + ["HTTP/1.1 429 Too Many Requests"]
+        for _, headers, body in replies:
+            assert int(headers["Content-Length"]) == len(body)
+        assert replies[-1][1]["Retry-After"] == "1"
 
 
 @pytest.mark.serve_smoke

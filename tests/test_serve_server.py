@@ -1,6 +1,9 @@
 """End-to-end tests for the HTTP imputation server and live metrics."""
 
+import http.client
 import json
+import socket
+import statistics
 import threading
 import urllib.error
 import urllib.request
@@ -8,11 +11,14 @@ import urllib.request
 import numpy as np
 import pytest
 
+from http_keepalive import keepalive_round_trips, record_transport, \
+    split_reply
 from repro.core import GrimpConfig, GrimpImputer
 from repro.corruption import inject_mcar
 from repro.data import Table
 from repro.serve import ImputationServer, InferenceEngine, \
     LatencyHistogram, ServingMetrics, percentile
+from repro.serve.server import MAX_BODY_BYTES
 
 
 def structured_table(n_rows=50, seed=0):
@@ -30,15 +36,30 @@ def structured_table(n_rows=50, seed=0):
 
 
 @pytest.fixture(scope="module")
-def server():
+def imputer():
     corruption = inject_mcar(structured_table(), 0.15,
                              np.random.default_rng(1))
-    imputer = GrimpImputer(GrimpConfig(feature_dim=8, gnn_dim=10,
-                                       merge_dim=12, epochs=6, patience=6,
-                                       lr=1e-2, seed=0))
-    imputer.impute(corruption.dirty)
+    instance = GrimpImputer(GrimpConfig(feature_dim=8, gnn_dim=10,
+                                        merge_dim=12, epochs=6, patience=6,
+                                        lr=1e-2, seed=0))
+    instance.impute(corruption.dirty)
+    return instance
+
+
+@pytest.fixture(scope="module")
+def server(imputer):
     instance = ImputationServer(InferenceEngine(imputer), port=0,
                                 max_batch_size=16, max_delay_ms=3.0)
+    instance.start()
+    yield instance
+    instance.stop()
+
+
+@pytest.fixture(scope="module")
+def undelayed_server(imputer):
+    """No batching delay: a round trip is transport plus one engine call."""
+    instance = ImputationServer(InferenceEngine(imputer), port=0,
+                                max_batch_size=16, max_delay_ms=0.0)
     instance.start()
     yield instance
     instance.stop()
@@ -176,6 +197,87 @@ class TestConcurrentClients:
             assert status == 200
             assert payload["row"]["country"] == "france"
             assert payload["row"]["population"] is not None
+
+
+PARIS_ROW = {"row": {"city": "paris", "country": None, "population": 2.1}}
+
+
+class TestKeepAliveTransport:
+    """One reused connection, as a production client keeps it."""
+
+    def test_back_to_back_requests_do_not_stall(self, undelayed_server):
+        trips = keepalive_round_trips(undelayed_server, PARIS_ROW, 20)
+        for _, status, reply in trips:
+            assert status == 200
+            assert reply["row"]["country"] == "france"
+        # A reply split across writes waits ~40 ms for the client's
+        # delayed ACK on every request after the first.
+        median_ms = statistics.median(
+            seconds for seconds, _, _ in trips) * 1e3
+        assert median_ms < 20.0
+
+    def test_each_reply_is_one_write_on_a_nodelay_socket(
+            self, undelayed_server, monkeypatch):
+        connections = record_transport(undelayed_server, monkeypatch)
+        trips = keepalive_round_trips(undelayed_server, PARIS_ROW, 5)
+        assert len(connections) == 1
+        assert connections[0]["nodelay"] != 0
+        writes = connections[0]["writes"]
+        assert len(writes) == len(trips)
+        for write in writes:
+            status_line, headers, body = split_reply(write)
+            assert status_line == "HTTP/1.1 200 OK"
+            assert int(headers["Content-Length"]) == len(body)
+            assert json.loads(body)["row"]["country"] == "france"
+
+    def test_expect_100_continue_is_answered_before_the_body(
+            self, undelayed_server):
+        body = json.dumps(PARIS_ROW).encode("utf-8")
+        with socket.create_connection((undelayed_server.host,
+                                       undelayed_server.port),
+                                      timeout=5) as client:
+            client.sendall(b"POST /impute HTTP/1.1\r\nHost: test\r\n"
+                           b"Expect: 100-continue\r\nContent-Length: "
+                           + str(len(body)).encode() + b"\r\n\r\n")
+            # Without the interim reply the client would hold its body.
+            assert client.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            client.sendall(body)
+            status_line, _, reply = split_reply(client.recv(65536))
+        assert status_line == "HTTP/1.1 200 OK"
+        assert json.loads(reply)["row"]["country"] == "france"
+
+    @pytest.mark.parametrize("path, declared, status, message", [
+        ("/impute", str(MAX_BODY_BYTES + 1), 400, "request body over"),
+        ("/impute", "-5", 400, "empty request body"),
+        ("/impute", "twelve", 400, "Content-Length 'twelve' is not an "
+                                   "integer"),
+        ("/nope", None, 404, "unknown path"),
+    ])
+    def test_unread_body_closes_the_connection(self, server, path,
+                                               declared, status, message):
+        body = json.dumps(PARIS_ROW).encode("utf-8")
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=30)
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length",
+                                 declared or str(len(body)))
+            connection.endheaders(body)
+            response = connection.getresponse()
+            assert response.status == status
+            assert response.getheader("Connection") == "close"
+            assert message in json.loads(response.read())["error"]
+            # The unread body must not be parsed as the next request:
+            # the client reconnects and gets its own answer.
+            connection.request("POST", "/impute", body,
+                               {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["row"]["country"] == \
+                "france"
+        finally:
+            connection.close()
 
 
 class TestServingMetrics:
