@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-serve lint bench-smoke bench-hotpath serve-smoke \
+.PHONY: test test-fast lint bench-smoke bench-hotpath serve-smoke \
 	serve-bench embed-smoke bench-embed sampling-smoke bench-sampling \
 	dp-smoke bench-dp-smoke bench-dp ci-gate
 
@@ -9,15 +9,10 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# PR feedback loop: skip the slow example walkthroughs, the subprocess
-# benchmark smokes, and the fork-heavy serving-tier checks (run those
-# with `-m "slow or bench"` / `make test-serve`).
+# PR feedback loop: skip the slow example walkthroughs and the
+# subprocess benchmark smokes (run those with `-m "slow or bench"`).
 test-fast:
-	$(PYTHON) -m pytest -x -q -m "not slow and not bench and not serve_smoke"
-
-# Multi-process serving tier: end-to-end dispatch/crash/drain checks.
-test-serve:
-	$(PYTHON) -m pytest -q -m serve_smoke
+	$(PYTHON) -m pytest -x -q -m "not slow and not bench"
 
 # Byte-compile every source tree, then run the project lint rules
 # (repro.analysis) — interprocedural mode over the package plus the

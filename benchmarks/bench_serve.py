@@ -2,28 +2,19 @@
 
 Fits GRIMP once on a corrupted dataset, saves/reloads a checkpoint, and
 then drives the inference engine over a stream of *new* dirty rows in
-five modes:
+four modes:
 
 * ``unbatched``     — one engine call per row (the naive online path).
 * ``batched``       — engine calls over ``max_batch_size``-row slices
   (the upper bound micro-batching can reach).
 * ``microbatched``  — concurrent single-row requests from ``--threads``
-  client threads coalesced by the :class:`~repro.serve.MicroBatcher`
-  under the max-latency/max-batch-size policy (the single-process
-  threaded serving tier).
-* ``dispatched``    — the multi-process tier: a closed-loop load
-  generator sweeps client concurrency x worker count through the
-  :class:`~repro.serve.Dispatcher` (pre-fork workers attached to the
-  shared checkpoint pack, per-worker micro-batching).
+  client threads coalesced by the :class:`~repro.serve.MicroBatcher`,
+  which flushes when idle (the serving tier's batching path).
 * ``http_keepalive`` — back-to-back single-row ``POST /impute``
-  requests to an :class:`~repro.serve.ImputationServer` (in-process
-  tier) over one reused ``http.client`` connection: the transport the
-  modes above skip, where a reply split across writes would wait for
-  the client's delayed ACK.
-
-The dispatched sweep also checks workers=1 per-row parity against the
-in-process engine (equal batch partitions — see docs/serving.md for
-why partitions must match for bytewise identity).
+  requests to an :class:`~repro.serve.ImputationServer` over one
+  reused ``http.client`` connection: the transport the modes above
+  skip, where a reply split across writes would wait for the client's
+  delayed ACK.
 
 Emits ``BENCH_serve.json`` with rows/sec and p50/p99 latency per mode,
 the realized batch-size histogram, checkpoint save/load/pin timings,
@@ -55,22 +46,16 @@ import numpy as np
 from repro.core import GrimpConfig, GrimpImputer
 from repro.corruption import inject_mcar
 from repro.datasets import load
-from repro.parallel import schedulable_cores
-from repro.serve import Dispatcher, ImputationServer, InferenceEngine, \
-    MicroBatcher, ServingMetrics, load_imputer, percentile, \
-    save_checkpoint
+from repro.serve import ImputationServer, InferenceEngine, MicroBatcher, \
+    ServingMetrics, load_imputer, percentile, save_checkpoint
 from repro.serve.engine import table_to_records
 from repro.telemetry import build_manifest, write_manifest
 
 PROFILES = {
     "full": {"dataset": "adult", "fit_rows": 200, "serve_rows": 400,
-             "epochs": 20, "error_rate": 0.2,
-             "sweep_workers": (1, 2, 4), "sweep_clients": (8, 16),
-             "parity_rows": 32},
+             "epochs": 20, "error_rate": 0.2},
     "smoke": {"dataset": "adult", "fit_rows": 60, "serve_rows": 96,
-              "epochs": 3, "error_rate": 0.2,
-              "sweep_workers": (1, 4), "sweep_clients": (8,),
-              "parity_rows": 12},
+              "epochs": 3, "error_rate": 0.2},
 }
 
 
@@ -112,12 +97,10 @@ def run_batched(engine: InferenceEngine, records: list[dict],
 
 
 def run_microbatched(engine: InferenceEngine, records: list[dict],
-                     batch_size: int, max_delay_ms: float,
-                     n_threads: int) -> dict:
+                     batch_size: int, n_threads: int) -> dict:
     metrics = ServingMetrics()
     batcher = MicroBatcher(engine.impute_records,
-                           max_batch_size=batch_size,
-                           max_delay_seconds=max_delay_ms / 1e3)
+                           max_batch_size=batch_size)
     latencies: list[float] = []
     lock = threading.Lock()
     shares = [records[position::n_threads] for position in range(n_threads)]
@@ -159,80 +142,16 @@ def run_microbatched(engine: InferenceEngine, records: list[dict],
     return stats
 
 
-def run_dispatched(engine: InferenceEngine, records: list[dict],
-                   batch_size: int, max_delay_ms: float,
-                   n_clients: int, n_workers: int) -> dict:
-    """Closed-loop load through the multi-process dispatch tier.
-
-    ``n_clients`` client threads each drive their share of the stream
-    as single-row requests through a real :class:`Dispatcher` with
-    ``n_workers`` pre-fork workers — the same path the HTTP server
-    takes, minus HTTP framing.
-    """
-    dispatcher = Dispatcher(engine, workers=n_workers,
-                            max_queue_depth=max(64, 4 * n_clients),
-                            max_batch_size=batch_size,
-                            max_delay_ms=max_delay_ms)
-    try:
-        if not dispatcher.wait_ready(180.0):
-            raise RuntimeError(
-                f"dispatcher ({n_workers} workers) never became ready")
-        latencies: list[float] = []
-        lock = threading.Lock()
-        shares = [records[position::n_clients]
-                  for position in range(n_clients)]
-
-        def client(share: list[dict]) -> None:
-            mine = []
-            for record in share:
-                t0 = time.perf_counter()
-                dispatcher.submit([record], timeout=120.0)
-                mine.append(time.perf_counter() - t0)
-            with lock:
-                latencies.extend(mine)
-
-        # Warm every worker's feeders/batcher before timing.
-        warmup = [threading.Thread(target=dispatcher.submit,
-                                   args=([record],),
-                                   kwargs={"timeout": 120.0})
-                  for record in records[:2 * batch_size]]
-        for thread in warmup:
-            thread.start()
-        for thread in warmup:
-            thread.join()
-
-        threads = [threading.Thread(target=client, args=(share,))
-                   for share in shares if share]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        total = time.perf_counter() - started
-        snapshot = dispatcher.stats()
-    finally:
-        dispatcher.stop(drain=True, timeout=30.0)
-    stats = _latency_stats(latencies, total, len(records))
-    stats["workers"] = n_workers
-    stats["clients"] = n_clients
-    batches = sum(entry["batches"] for entry in snapshot["per_worker"])
-    batched_rows = sum(entry["batched_rows"]
-                       for entry in snapshot["per_worker"])
-    stats["batches"] = batches
-    stats["mean_batch_size"] = (batched_rows / batches) if batches else 0.0
-    return stats
-
-
 def run_http_keepalive(engine: InferenceEngine, records: list[dict],
-                       batch_size: int, max_delay_ms: float) -> dict:
+                       batch_size: int) -> dict:
     """Single rows, one at a time, over one keep-alive HTTP connection.
 
     Each request waits for the previous reply, so every row is a
-    server batch of one: the latency is the batching delay, one engine
-    call and the HTTP transport.
+    server batch of one: the latency is one engine call and the HTTP
+    transport.
     """
-    server = ImputationServer(engine, port=0, max_batch_size=batch_size,
-                              max_delay_ms=max_delay_ms).start()
+    server = ImputationServer(engine, port=0,
+                              max_batch_size=batch_size).start()
     connection = http.client.HTTPConnection(server.host, server.port,
                                             timeout=60.0)
     bodies = [json.dumps({"row": record}) for record in records]
@@ -263,29 +182,6 @@ def run_http_keepalive(engine: InferenceEngine, records: list[dict],
     return _latency_stats(latencies, total, len(records))
 
 
-def check_dispatched_parity(engine: InferenceEngine, records: list[dict],
-                            batch_size: int) -> bool:
-    """Per-row parity: dispatched workers=1 vs the in-process engine.
-
-    Compares *equal batch partitions* — one row per request on both
-    sides — because the engine's float outputs are batch-partition
-    sensitive at the last ulp (BLAS reduction order), so only matching
-    partitions are required to be bytewise identical.
-    """
-    dispatcher = Dispatcher(engine, workers=1, max_batch_size=batch_size,
-                            max_delay_ms=0.0)
-    try:
-        if not dispatcher.wait_ready(180.0):
-            raise RuntimeError("parity dispatcher never became ready")
-        for record in records:
-            served = dispatcher.submit([record], timeout=120.0)
-            if served != engine.impute_records([record]):
-                return False
-    finally:
-        dispatcher.stop(drain=True, timeout=30.0)
-    return True
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -297,7 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threads", type=int, default=8,
                         help="client threads for the micro-batched mode")
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--max-delay-ms", type=float, default=5.0)
     args = parser.parse_args(argv)
 
     profile_name = "smoke" if args.smoke else "full"
@@ -348,77 +243,22 @@ def main(argv: list[str] | None = None) -> int:
     # best of three (by p99) as the representative measurement.
     microbatched = min(
         (run_microbatched(engine, records, args.max_batch_size,
-                          args.max_delay_ms, args.threads)
+                          args.threads)
          for _ in range(3)),
         key=lambda stats: stats["p99_ms"])
     http_keepalive = run_http_keepalive(engine, records,
-                                        args.max_batch_size,
-                                        args.max_delay_ms)
+                                        args.max_batch_size)
     print(f"http keep-alive: p50 {http_keepalive['p50_ms']:.2f} ms  "
           f"p99 {http_keepalive['p99_ms']:.2f} ms")
-
-    sweep = []
-    for n_workers in profile["sweep_workers"]:
-        for n_clients in profile["sweep_clients"]:
-            stats = run_dispatched(engine, records, args.max_batch_size,
-                                   args.max_delay_ms, n_clients, n_workers)
-            sweep.append(stats)
-            print(f"dispatched workers={n_workers} clients={n_clients}: "
-                  f"{stats['rows_per_sec']:.1f} rows/s  "
-                  f"p99 {stats['p99_ms']:.2f} ms  "
-                  f"mean batch {stats['mean_batch_size']:.1f}")
-    top_workers = max(profile["sweep_workers"])
-    # Best configuration (by throughput) at each end of the sweep.
-    dispatched_top = max(
-        (s for s in sweep if s["workers"] == top_workers),
-        key=lambda s: s["rows_per_sec"])
-    dispatched_one = max(
-        (s for s in sweep if s["workers"] == 1),
-        key=lambda s: s["rows_per_sec"])
-    dispatched_parity = check_dispatched_parity(
-        engine, records[:profile["parity_rows"]], args.max_batch_size)
-    print(f"dispatched workers=1 per-row parity: {dispatched_parity}")
-
-    # Pre-fork scaling is bounded by the cores the OS will actually
-    # schedule us on: the paper-level target (>= 2.5x the threaded
-    # tier at 4 workers, without giving up tail latency) only exists
-    # where >= 4 cores do, so gate it there and hold a don't-regress
-    # floor elsewhere (a single core can only measure the IPC tax).
-    # CI runners export the detected count via $REPRO_BENCH_CORES.
-    cpu_count = schedulable_cores()
-    scaling_capacity = min(top_workers, cpu_count)
-    dispatched_speedup = dispatched_top["rows_per_sec"] / \
-        microbatched["rows_per_sec"]
-    p99_ratio = dispatched_top["p99_ms"] / microbatched["p99_ms"] \
-        if microbatched["p99_ms"] else 0.0
-    if scaling_capacity >= 4:
-        scaling_target, p99_budget = 2.5, 1.25
-    elif scaling_capacity >= 2:
-        scaling_target, p99_budget = 1.2, 2.0
-    else:
-        scaling_target, p99_budget = 0.4, 4.0
-    meets_scaling_target = (dispatched_speedup >= scaling_target
-                            and p99_ratio <= p99_budget)
-    print(f"scaling: {dispatched_speedup:.2f}x vs threaded "
-          f"(target {scaling_target:.1f}x on {cpu_count} cores, "
-          f"p99 ratio {p99_ratio:.2f} <= {p99_budget:.2f}): "
-          f"{'PASS' if meets_scaling_target else 'FAIL'}")
 
     speedup = {
         "batched": batched["rows_per_sec"] / unbatched["rows_per_sec"],
         "microbatched": microbatched["rows_per_sec"] /
         unbatched["rows_per_sec"],
-        "dispatched_top_vs_threaded": dispatched_top["rows_per_sec"] /
-        microbatched["rows_per_sec"],
-        "dispatched_top_vs_unbatched": dispatched_top["rows_per_sec"] /
-        unbatched["rows_per_sec"],
-        "dispatched1_vs_threaded": dispatched_one["rows_per_sec"] /
-        microbatched["rows_per_sec"],
     }
     # The batching deadline budget: a request may queue behind one
-    # in-flight batch, wait out the full delay, then ride a max-size
-    # engine batch of its own.
-    deadline_budget_ms = args.max_delay_ms + 2 * batched["p99_ms"]
+    # in-flight batch, then ride a max-size engine batch of its own.
+    deadline_budget_ms = 2 * batched["p99_ms"]
     report = {
         "benchmark": "serve",
         "profile": profile_name,
@@ -435,23 +275,12 @@ def main(argv: list[str] | None = None) -> int:
             "roundtrip_identical": roundtrip_identical,
         },
         "batching": {"max_batch_size": args.max_batch_size,
-                     "max_delay_ms": args.max_delay_ms,
                      "deadline_budget_ms": deadline_budget_ms},
         "unbatched": unbatched,
         "batched": batched,
         "microbatched": microbatched,
         "http_keepalive": http_keepalive,
         "http_keepalive_p50_ms": http_keepalive["p50_ms"],
-        "dispatched": {"sweep": sweep, "top_workers": top_workers,
-                       "parity": dispatched_parity},
-        "scaling": {"cpu_count": cpu_count,
-                    "capacity": scaling_capacity,
-                    "target": scaling_target,
-                    "floor_mode": scaling_capacity < 4,
-                    "p99_budget": p99_budget,
-                    "speedup_vs_threaded": dispatched_speedup,
-                    "p99_ratio_vs_threaded": p99_ratio,
-                    "meets_target": meets_scaling_target},
         "speedup": speedup,
         "p99_under_deadline_budget":
             microbatched["p99_ms"] <= deadline_budget_ms,
@@ -463,27 +292,12 @@ def main(argv: list[str] | None = None) -> int:
     metrics = {
         "speedup.batched": speedup["batched"],
         "speedup.microbatched": speedup["microbatched"],
-        "speedup.dispatched_top_vs_threaded":
-            speedup["dispatched_top_vs_threaded"],
-        "speedup.dispatched_top_vs_unbatched":
-            speedup["dispatched_top_vs_unbatched"],
-        "speedup.dispatched1_vs_threaded":
-            speedup["dispatched1_vs_threaded"],
-        "p99_ratio.dispatched_top_vs_threaded": p99_ratio,
-        "dispatched_parity": float(dispatched_parity),
-        "dispatched_meets_scaling_target": float(meets_scaling_target),
-        "scaling.cpu_count": float(cpu_count),
-        "scaling.target": scaling_target,
-        "scaling.floor_mode": float(scaling_capacity < 4),
         "roundtrip_identical": float(roundtrip_identical),
         "p99_under_deadline_budget":
             float(report["p99_under_deadline_budget"]),
         "rows_per_sec.unbatched": unbatched["rows_per_sec"],
         "rows_per_sec.microbatched": microbatched["rows_per_sec"],
-        "rows_per_sec.dispatched_top": dispatched_top["rows_per_sec"],
         "mean_batch_size": microbatched["mean_batch_size"],
-        "mean_batch_size.dispatched_top":
-            dispatched_top["mean_batch_size"],
         "http_keepalive_p50_ms": http_keepalive["p50_ms"],
     }
     manifest_path = out_path.with_name(out_path.stem + "_manifest.json")
@@ -494,20 +308,15 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"\nrows/sec   unbatched={unbatched['rows_per_sec']:8.1f}  "
           f"batched={batched['rows_per_sec']:8.1f}  "
-          f"microbatched={microbatched['rows_per_sec']:8.1f}  "
-          f"dispatched{top_workers}={dispatched_top['rows_per_sec']:8.1f}")
+          f"microbatched={microbatched['rows_per_sec']:8.1f}")
     print(f"p50 ms     unbatched={unbatched['p50_ms']:8.2f}  "
           f"batched={batched['p50_ms']:8.2f}  "
-          f"microbatched={microbatched['p50_ms']:8.2f}  "
-          f"dispatched{top_workers}={dispatched_top['p50_ms']:8.2f}")
+          f"microbatched={microbatched['p50_ms']:8.2f}")
     print(f"p99 ms     unbatched={unbatched['p99_ms']:8.2f}  "
           f"batched={batched['p99_ms']:8.2f}  "
-          f"microbatched={microbatched['p99_ms']:8.2f}  "
-          f"dispatched{top_workers}={dispatched_top['p99_ms']:8.2f}")
+          f"microbatched={microbatched['p99_ms']:8.2f}")
     print(f"speedup    batched={speedup['batched']:.2f}x  "
           f"microbatched={speedup['microbatched']:.2f}x  "
-          f"dispatched{top_workers} vs threaded="
-          f"{speedup['dispatched_top_vs_threaded']:.2f}x  "
           f"(mean batch {microbatched['mean_batch_size']:.1f})")
     print(f"wrote {out_path}")
     return 0

@@ -7,8 +7,8 @@
    what ``repro serve model.ckpt`` does — and start the threaded HTTP
    server on a free port.
 4. Impute new rows through ``POST /impute`` from several concurrent
-   clients so the micro-batcher coalesces them, then read the live
-   ``GET /metrics`` counters.
+   clients; rows that queue while a batch computes are coalesced into
+   the next one.  Then read the live ``GET /metrics`` counters.
 
 Run:  python examples/serve_quickstart.py
 """
@@ -54,9 +54,9 @@ def main() -> None:
 
     # --- 3. restore + serve ------------------------------------------
     engine = InferenceEngine.from_checkpoint(ckpt)
-    server = ImputationServer(engine, port=0, max_batch_size=16,
-                              max_delay_ms=5.0).start()
-    print(f"serving at {server.url} (micro-batch <=16 rows / 5 ms)")
+    server = ImputationServer(engine, port=0, max_batch_size=16).start()
+    print(f"serving at {server.url} (micro-batch <=16 rows, flushed "
+          f"when idle)")
 
     # --- 4. impute over HTTP -----------------------------------------
     single = post(server.url + "/impute", {

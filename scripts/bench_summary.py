@@ -1,6 +1,6 @@
 """Markdown summary of scaling-sensitive benchmark gates.
 
-The serve and dp benchmarks compute their scaling targets from the
+The dp benchmark computes its scaling target from the
 cores the runner will actually schedule
 (:func:`repro.parallel.schedulable_cores`, which honors
 ``$REPRO_BENCH_CORES`` exported by the CI core-detection step).  On a
@@ -28,9 +28,6 @@ from pathlib import Path
 #: Per-benchmark scaling metrics: (cores key, floor-mode key,
 #: speedup key, target key, pass/fail key).
 SCALING_KEYS = {
-    "serve": ("scaling.cpu_count", "scaling.floor_mode",
-              "speedup.dispatched_top_vs_threaded", "scaling.target",
-              "dispatched_meets_scaling_target"),
     "dp": ("scaling.cores", "scaling.floor_mode", "scaling.speedup",
            "scaling.target", "scaling.meets_target"),
 }

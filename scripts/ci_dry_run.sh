@@ -7,7 +7,6 @@
 #                  the project lint rules (`repro lint`)
 #   test        -> make test-fast, the slow/bench-marked tests, the
 #                  perfbench smoke, then make sampling-smoke
-#   serve-smoke -> make test-serve (multi-process serving tier)
 #   dp-smoke    -> make dp-smoke (DP parity + worker determinism)
 #   bench-gate  -> make ci-gate (smoke benchmarks + baseline check)
 #
@@ -38,9 +37,6 @@ PYTHONPATH=src python -m pytest -q perfbench/test_smoke.py
 
 echo "==> [test] sampled-training smoke"
 make sampling-smoke
-
-echo "==> [serve-smoke] multi-process dispatch, crash-recovery, drain"
-make test-serve
 
 echo "==> [dp-smoke] data-parallel parity + worker-count determinism"
 make dp-smoke

@@ -4,7 +4,7 @@ Takes the :class:`~repro.analysis.summaries.ModuleSummary` set produced
 by pass 1 and builds the whole-repo view: a symbol table that follows
 package ``__init__`` re-exports, a call graph over dotted function
 names, and the *worker-entry* set — functions handed to the process
-pool registrars (``parallel_map``, ``ShardPool``, ``start_worker``,
+pool registrars (``parallel_map``, ``ShardPool``,
 ``Process(target=...)``) whose bodies therefore execute in forked
 children.  :mod:`repro.analysis.taint` runs its fixpoints over this
 structure.
@@ -25,7 +25,6 @@ __all__ = ["Project", "WorkerEntry", "link"]
 _WORKER_REGISTRARS = {
     "parallel_map": {"0": 1, "fn": 1},
     "ShardPool": {"0": 1, "fn": 1, "init_fn": 0},
-    "start_worker": {"0": None, "fn": None},
     "Process": {"target": None},
 }
 

@@ -75,13 +75,6 @@ SERVE_PACKAGE = "repro.serve"
 CONCURRENCY_PACKAGES = (SERVE_PACKAGE, "repro.parallel",
                         "repro.distributed")
 
-#: The serving modules additionally sanctioned to own *process*
-#: primitives (RPR004): the dispatch layer spawns/supervises the
-#: pre-fork worker tier and the worker module runs inside it.  The
-#: rest of ``repro.serve`` stays threads-only — process lifecycle and
-#: shared-memory lifetime concentrate where they can be audited.
-SERVE_PROCESS_MODULES = ("repro.serve.dispatch", "repro.serve.workers")
-
 _NOQA = re.compile(
     r"#\s*repro:\s*noqa"
     r"(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"

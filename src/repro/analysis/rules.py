@@ -21,7 +21,6 @@ from .engine import (
     HOT_PACKAGES,
     MODEL_PACKAGES,
     SERVE_PACKAGE,
-    SERVE_PROCESS_MODULES,
     Finding,
     LintContext,
     ProjectRule,
@@ -224,8 +223,7 @@ class RawThreading(Rule):
         "repro.serve owns the thread side (engine lock -> batcher state "
         "lock; never hold a lock across a blocking wait), while the "
         "process side — lifecycle, shared-memory lifetime, supervision "
-        "— lives in repro.parallel (pools) and the serving tier's "
-        "repro.serve.dispatch / repro.serve.workers (pre-fork workers). "
+        "— lives in repro.parallel (pools). "
         "Threading or multiprocessing sprinkled through model or data "
         "code cannot be audited against those rules — other packages "
         "describe shards and hand them to repro.parallel.parallel_map "
@@ -234,11 +232,10 @@ class RawThreading(Rule):
         "is exactly why its batch order is worker-count independent; "
         "repro.distributed is the sanctioned exception that coordinates "
         "pools directly for data-parallel training). "
-        "Inside repro.serve, process primitives outside the dispatch/"
-        "worker modules are flagged too: the threaded serving layer "
-        "must not quietly grow a second process tier.  Telemetry's "
-        "internal locks are the sanctioned exception, suppressed with "
-        "a reason.")
+        "Inside repro.serve, process primitives are flagged too: the "
+        "serving layer is threads-only and must not quietly grow a "
+        "process tier.  Telemetry's internal locks are the sanctioned "
+        "exception, suppressed with a reason.")
 
     _MODULES = ("threading", "_thread", "queue", "multiprocessing",
                 "concurrent.futures", "concurrent")
@@ -252,10 +249,6 @@ class RawThreading(Rule):
             # The data-parallel coordinator/workers own their pool's
             # lifecycle (via repro.parallel.ShardPool today, and any
             # direct process plumbing they grow tomorrow).
-            return False
-        if in_package(module, SERVE_PROCESS_MODULES):
-            # The dispatch/worker tier owns both thread and process
-            # primitives for serving.
             return False
         return True
 
@@ -281,10 +274,9 @@ class RawThreading(Rule):
                 if in_serve:
                     findings.append(self.finding(
                         context, node,
-                        f"import of {name!r} in repro.serve outside "
-                        f"the sanctioned process tier; worker process "
-                        f"lifecycle belongs in repro.serve.dispatch / "
-                        f"repro.serve.workers (or repro.parallel)"))
+                        f"import of {name!r} in repro.serve, which "
+                        f"owns threads only; process lifecycle belongs "
+                        f"in repro.parallel"))
                 else:
                     findings.append(self.finding(
                         context, node,
@@ -408,11 +400,10 @@ class BareExcept(Rule):
 
 
 #: Packages whose functions may own thread primitives even when they
-#: run inside forked workers: the serving worker loop (its feeder
-#: threads and locks are the audited design) and the pool substrate
-#: itself.  Telemetry's internal locks are initialized lazily and are
-#: fork-safe by construction (re-created per process).
-_FORK_SANCTIONED = (SERVE_PACKAGE, "repro.parallel", "repro.telemetry")
+#: run inside forked workers: the pool substrate itself.  Telemetry's
+#: internal locks are initialized lazily and are fork-safe by
+#: construction (re-created per process).
+_FORK_SANCTIONED = ("repro.parallel", "repro.telemetry")
 
 
 @register
@@ -426,10 +417,9 @@ class ForkUnsafeThreading(ProjectRule):
     rationale = (
         "The pool substrate forks workers; a lock or thread created in "
         "code reachable from a worker entry point (a function handed "
-        "to parallel_map/ShardPool/start_worker/Process) either "
-        "duplicates held state across the fork or spawns threads the "
-        "supervisor cannot see.  Only the audited owners — repro.serve "
-        "(the worker loop's feeder threads), repro.parallel, and "
+        "to parallel_map/ShardPool/Process) either duplicates held "
+        "state across the fork or spawns threads the supervisor cannot "
+        "see.  Only the audited owners — repro.parallel and "
         "repro.telemetry's fork-safe lazy locks — may do this; shard "
         "functions and model code must stay thread-free so a worker "
         "crash is always attributable to the shard, not to an "
@@ -451,8 +441,7 @@ class ForkUnsafeThreading(ProjectRule):
                     f"threading.{factory} created in {qualname}, which "
                     f"runs inside a forked worker (reachable from a "
                     f"worker entry point); thread primitives in fork-"
-                    f"reachable code belong to repro.serve/"
-                    f"repro.parallel only"))
+                    f"reachable code belong to repro.parallel only"))
         return findings
 
 

@@ -146,19 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="listen port (0 picks a free one)")
     serve.add_argument("--max-batch-size", type=int, default=32,
-                       help="flush a micro-batch at this many queued rows")
-    serve.add_argument("--max-delay-ms", type=float, default=5.0,
-                       help="flush a micro-batch at most this long after "
-                            "its first row arrived")
-    serve.add_argument("--serve-workers", type=int, default=None,
-                       help="pre-fork this many inference worker "
-                            "processes sharing one read-only model copy "
-                            "(default: $REPRO_SERVE_WORKERS or 0 = "
-                            "in-process threaded tier)")
-    serve.add_argument("--max-queue-depth", type=int, default=64,
-                       help="admission bound for the worker tier: "
-                            "requests beyond this many in flight get "
-                            "429 + Retry-After")
+                       help="largest micro-batch: rows queued while a "
+                            "batch computes are flushed together, up to "
+                            "this many")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request")
 
@@ -337,45 +327,24 @@ def _command_compare(args) -> int:
 
 
 def _command_serve(args) -> int:
-    import os
     import signal
 
     from .serve import ImputationServer, InferenceEngine
 
-    workers = args.serve_workers
-    if workers is None:
-        raw = os.environ.get("REPRO_SERVE_WORKERS", "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise SystemExit(f"REPRO_SERVE_WORKERS={raw!r} is not an "
-                                 f"integer")
-        else:
-            workers = 0
-    if workers < 0:
-        raise SystemExit(f"--serve-workers must be >= 0, got {workers}")
-
     engine = InferenceEngine.from_checkpoint(args.checkpoint)
     server = ImputationServer(engine, host=args.host, port=args.port,
                               max_batch_size=args.max_batch_size,
-                              max_delay_ms=args.max_delay_ms,
-                              workers=workers,
-                              max_queue_depth=args.max_queue_depth,
                               verbose=args.verbose)
-    tier = "in-process threaded tier" if workers == 0 else \
-        f"{workers} pre-fork worker process(es), " \
-        f"queue depth <= {args.max_queue_depth}"
     print(f"serving {args.checkpoint} at {server.url} "
-          f"(batch<= {args.max_batch_size}, "
-          f"delay<= {args.max_delay_ms:.1f} ms, {tier}); Ctrl-C to stop")
+          f"(batch<= {args.max_batch_size}, flushed when idle); "
+          f"Ctrl-C to stop")
     print(f"  POST {server.url}/impute    "
           '{"row": {...}} or {"rows": [...]}')
     print(f"  GET  {server.url}/healthz")
     print(f"  GET  {server.url}/metrics")
     # SIGTERM (systemd/k8s stop) must take the same graceful-drain path
-    # as Ctrl-C; the default handler would kill this process and orphan
-    # the pre-fork workers.
+    # as Ctrl-C; the default handler would kill this process and drop
+    # the requests in flight.
     def _terminate(signum, frame):
         raise KeyboardInterrupt
 

@@ -33,7 +33,7 @@ import numpy as np
 __all__ = ["WORKERS_ENV", "BENCH_CORES_ENV", "resolve_workers",
            "schedulable_cores", "spawn_seeds", "SharedArrays",
            "attach_shared", "parallel_map", "pool_context",
-           "start_worker", "ShardPool"]
+           "ShardPool"]
 
 #: Environment variable providing the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -172,56 +172,10 @@ def pool_context():
 
     Prefers ``fork`` (zero-cost worker startup, shared-memory names are
     inherited) and falls back to ``spawn`` where fork is unavailable.
-    Long-lived callers (the serving tier's dispatch layer) build their
-    queues from the same context so queue and process semantics match.
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
-
-
-def _persistent_worker_entry(fn, specs, untrack, args):
-    views = attach_shared(specs, untrack=untrack)
-    fn(views, *args)
-
-
-def start_worker(fn, args=(), *, pack=None, name=None, context=None):
-    """Spawn one long-lived worker attached to a shared-memory pack.
-
-    This is the persistent counterpart of :func:`parallel_map`: instead
-    of a pool that drains a finite task list and joins, the worker runs
-    ``fn(views, *args)`` for as long as it likes — typically a serve
-    loop reading requests from a queue passed through ``args``.
-
-    Parameters
-    ----------
-    fn:
-        Module-level callable ``fn(views, *args)``; ``views`` maps array
-        names to zero-copy read-only shared views (empty without
-        ``pack``).
-    pack:
-        A :class:`SharedArrays` instance (or its :meth:`~SharedArrays.specs`
-        dict) whose blocks the worker attaches on startup.  The caller
-        owns the pack's lifetime and must keep it alive until every
-        worker exited.
-    name, context:
-        Optional process name and multiprocessing context (defaults to
-        :func:`pool_context`).
-
-    Returns the started :class:`multiprocessing.Process` (daemonic, so
-    orphaned workers die with the parent).  Respawning after a crash is
-    just calling this again with the same arguments — the shared pack
-    outlives any individual worker.
-    """
-    context = context if context is not None else pool_context()
-    specs = pack.specs() if isinstance(pack, SharedArrays) \
-        else dict(pack or {})
-    untrack = context.get_start_method() != "fork"
-    process = context.Process(target=_persistent_worker_entry,
-                              args=(fn, specs, untrack, tuple(args)),
-                              name=name, daemon=True)
-    process.start()
-    return process
 
 
 def parallel_map(fn, tasks, *, workers: int | None = None,

@@ -9,19 +9,11 @@ Layers, bottom-up:
   node representations, and imputes batches of new rows without
   touching the training path.
 * :mod:`~repro.serve.batcher` — thread-safe micro-batching of
-  concurrent single-row requests (max-latency/max-batch-size policy).
-* :mod:`~repro.serve.workers` — pre-fork inference worker processes
-  attaching one shared read-only copy of the checkpoint weights and
-  pinned representations (zero-copy via
-  :class:`repro.parallel.SharedArrays`).
-* :mod:`~repro.serve.dispatch` — bounded-queue dispatch over the
-  worker tier: admission control (429 backpressure), least-loaded
-  assignment, crash supervision with respawn, graceful drain.
-* :mod:`~repro.serve.server` — stdlib HTTP server exposing
+  concurrent single-row requests (flush when idle, up to a maximum
+  batch size).
+* :mod:`~repro.serve.server` — stdlib threaded HTTP server exposing
   ``POST /impute``, ``GET /healthz`` (readiness + ``?live=1``
-  liveness), and ``GET /metrics`` (``repro serve`` on the CLI);
-  serves in-process at ``workers=0`` and through the dispatch tier
-  at ``workers>=1``.
+  liveness), and ``GET /metrics`` (``repro serve`` on the CLI).
 """
 
 from .checkpoint import (CheckpointError, CHECKPOINT_FORMAT,
@@ -30,8 +22,6 @@ from .checkpoint import (CheckpointError, CHECKPOINT_FORMAT,
                          load_imputer, save_checkpoint)
 from .engine import InferenceEngine, records_to_table, table_to_records
 from .batcher import BatcherStopped, MicroBatcher
-from .dispatch import (Dispatcher, DispatcherStopped, QueueFull,
-                       WorkerCrashed)
 from .metrics import LatencyHistogram, ServingMetrics, percentile
 from .server import ImputationServer
 
@@ -49,10 +39,6 @@ __all__ = [
     "table_to_records",
     "MicroBatcher",
     "BatcherStopped",
-    "Dispatcher",
-    "DispatcherStopped",
-    "QueueFull",
-    "WorkerCrashed",
     "LatencyHistogram",
     "ServingMetrics",
     "percentile",

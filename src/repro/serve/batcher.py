@@ -5,9 +5,11 @@ engine's cost is dominated by per-call overhead (schema checks, table
 assembly, task-head dispatch) that amortizes almost perfectly across a
 batch.  The :class:`MicroBatcher` sits between the HTTP handlers and
 the engine: callers block in :meth:`submit` while a single worker
-thread drains the queue, groups up to ``max_batch_size`` items, and
-waits at most ``max_delay_seconds`` after the first item before
-flushing — the classic max-latency/max-batch-size policy.
+thread drains the queue.  The policy is *flush when idle*: the worker
+takes the first item plus whatever else is already queued, up to
+``max_batch_size``, and processes the batch at once.  Requests that
+arrive while a batch computes queue up and form the next batch, so
+batches grow with load and a lone request never waits for batch-mates.
 
 Failure isolation: when a batched call raises, the batch degrades to
 singleton calls so one poison request cannot fail its neighbours; the
@@ -68,22 +70,15 @@ class MicroBatcher:
         ``list of items -> list of results`` (same length, same order).
         Runs on the worker thread only, so it need not be thread-safe.
     max_batch_size:
-        Flush when this many items are waiting.
-    max_delay_seconds:
-        Flush at most this long after the *first* item of a batch
-        arrived (the batching deadline).
+        Largest batch handed to ``process_batch``.
     """
 
     def __init__(self, process_batch: Callable[[list], Sequence],
-                 max_batch_size: int = 32,
-                 max_delay_seconds: float = 0.005):
+                 max_batch_size: int = 32):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
-        if max_delay_seconds < 0:
-            raise ValueError("max_delay_seconds must be non-negative")
         self.process_batch = process_batch
         self.max_batch_size = max_batch_size
-        self.max_delay_seconds = max_delay_seconds
         #: Optional ``callable(batch_size)`` invoked per flushed batch
         #: (wired to :meth:`ServingMetrics.record_batch` by the server).
         self.on_batch: Callable[[int], None] | None = None
@@ -180,18 +175,14 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _collect(self) -> list[_Pending] | None:
-        """Block for the first item, then gather until size or deadline."""
+        """Block for the first item, then take what is already queued."""
         first = self._queue.get()
         if first is None:
             return None
         batch = [first]
-        flush_at = time.monotonic() + self.max_delay_seconds
         while len(batch) < self.max_batch_size:
-            remaining = flush_at - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                nxt = self._queue.get(timeout=remaining)
+                nxt = self._queue.get_nowait()
             except queue.Empty:
                 break
             if nxt is None:

@@ -127,11 +127,8 @@ def checkpoint_bundle(imputer: GrimpImputer
     """The checkpoint of a fitted imputer as in-memory pieces.
 
     Returns ``(manifest, arrays)`` — exactly what :func:`save_checkpoint`
-    writes to disk, without touching the filesystem.  This is the
-    transport format of the multi-process serving tier: the dispatch
-    layer packs ``arrays`` into shared memory once and every inference
-    worker rebuilds the same imputer from attached views via
-    :func:`imputer_from_bundle`.
+    writes to disk, without touching the filesystem;
+    :func:`imputer_from_bundle` rebuilds the imputer from them.
     """
     artifacts = getattr(imputer, "_artifacts", None)
     if artifacts is None:
@@ -299,17 +296,12 @@ def load_imputer(path) -> GrimpImputer:
     return imputer_from_bundle(bundle["manifest"], bundle["arrays"])
 
 
-def imputer_from_bundle(manifest: dict, arrays: dict,
-                        shared_features: bool = False) -> GrimpImputer:
+def imputer_from_bundle(manifest: dict, arrays: dict) -> GrimpImputer:
     """Rebuild a fitted imputer from :func:`checkpoint_bundle` pieces.
 
-    ``arrays`` values may be read-only views (e.g. attached shared
-    memory): the adjacency CSR components and the graph's row-node ids
-    are adopted as-is, zero-copy, so N worker processes rebuilding from one
-    shared pack hold one physical copy of those arrays.  With
-    ``shared_features`` the node-feature matrix is adopted zero-copy
-    too (after the parameter load, which only verifies shapes) — valid
-    for inference-only workers, which never write to feature tensors.
+    The adjacency CSR components and the graph's row-node ids are
+    adopted as-is, zero-copy; the node-feature matrix is copied, since
+    the parameter load writes trained features in place.
     """
     config = _config_from_json(manifest["config"])
     dtype = np.dtype(manifest["dtype"])
@@ -331,23 +323,13 @@ def imputer_from_bundle(manifest: dict, arrays: dict,
                        fd_related=fd_related,
                        gnn_edge_types=list(manifest["gnn_edge_types"]))
 
-    features = arrays["features"]
-    # The parameter load below writes trained features in place, so
-    # they get a private copy — as do constant ones unless shared.
-    feature_tensor = model.attach_features(
-        features.copy() if manifest["train_features"] or not shared_features
-        else features, dtype)
+    feature_tensor = model.attach_features(arrays["features"].copy(),
+                                           dtype)
 
     state = {name[len("param/"):]: value for name, value in arrays.items()
              if name.startswith("param/")}
     model.load_state_dict(state)
     model.eval()
-
-    if manifest["train_features"] and shared_features:
-        # The load above wrote the same bytes into a private copy;
-        # inference-only workers never write feature tensors, so the
-        # parameter can point straight at the shared source view.
-        model.node_features.data = features
 
     edge_types = list(manifest["adjacency_edge_types"])
     operators = {}

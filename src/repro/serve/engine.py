@@ -143,26 +143,6 @@ class InferenceEngine:
             self._h = np.ascontiguousarray(h_extended.data)
         return self._h
 
-    def adopt_pinned(self, h: np.ndarray) -> np.ndarray:
-        """Adopt externally computed node representations, zero-copy.
-
-        The multi-process serving tier pins once in the dispatch
-        process and hands every worker the same matrix through shared
-        memory; workers adopt the (read-only) view instead of repeating
-        the GNN forward.  The matrix must be exactly what
-        :meth:`pin` would produce for this checkpoint — callers get
-        byte-identical imputations precisely because it is.
-        """
-        if h.ndim != 2:
-            raise ValueError(f"pinned representations must be a matrix, "
-                             f"got shape {h.shape}")
-        with self._lock:
-            if self._h is not None and self._h is not h:
-                raise RuntimeError("representations are already pinned; "
-                                   "refusing to swap them out mid-serve")
-            self._h = h
-        return h
-
     @property
     def is_pinned(self) -> bool:
         """Whether the node representations are already cached."""

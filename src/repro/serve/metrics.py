@@ -157,7 +157,6 @@ class ServingMetrics:
         self._latency = LatencyHistogram(buckets)
         self._requests = 0
         self._errors = 0
-        self._rejected = 0
         self._rows = 0
         self._batch_histogram: dict[int, int] = {}
         self._batches = 0
@@ -174,12 +173,6 @@ class ServingMetrics:
             else:
                 self._errors += 1
 
-    def record_rejected(self) -> None:
-        """Record one request shed by admission control (HTTP 429)."""
-        with self._lock:
-            self._requests += 1
-            self._rejected += 1
-
     def record_batch(self, size: int) -> None:
         """Record one coalesced engine batch of ``size`` requests."""
         with self._lock:
@@ -194,12 +187,10 @@ class ServingMetrics:
             latency = self._latency.copy()
             histogram = dict(self._batch_histogram)
             requests, errors = self._requests, self._errors
-            rejected = self._rejected
             rows, batches = self._rows, self._batches
         return {
             "requests": requests,
             "errors": errors,
-            "rejected": rejected,
             "rows_imputed": rows,
             "latency_ms": {
                 "mean": latency.mean * 1e3,

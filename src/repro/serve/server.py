@@ -5,36 +5,22 @@ Endpoints
 ``POST /impute``
     Body ``{"row": {...}}`` or ``{"rows": [{...}, ...]}``; missing cells
     are ``null`` (or absent).  Response mirrors the request shape with
-    every missing cell filled.  Under load shedding the server answers
-    ``429`` with a ``Retry-After`` header instead of queueing without
-    bound.
+    every missing cell filled.
 ``GET /healthz``
-    **Readiness**: 503 until the engine is pinned and (in multi-process
-    mode) every inference worker has warmed — attached the shared
-    weights and served a probe batch.  ``GET /healthz?live=1`` is the
-    **liveness** variant: 200 as soon as the process accepts
-    connections, warming or not, so a supervisor does not kill a
-    server that is merely still pre-forking.
+    **Readiness**: 503 until the engine's node representations are
+    pinned.  ``GET /healthz?live=1`` is the **liveness** variant: 200
+    as soon as the process accepts connections.
 ``GET /metrics``
-    Live counters: request/error/rejection totals, the fixed-bucket
-    latency histogram with p50/p95/p99, the batch-size histogram, the
-    engine's span timings, a ``dispatch`` section (queue depth,
-    per-worker batch counters, restarts) in multi-process mode, and a
-    ``telemetry`` section with span aggregates and the global counter
-    registry (see :mod:`repro.telemetry`).
+    Live counters: request/error totals, the fixed-bucket latency
+    histogram with p50/p95/p99, the batch-size histogram, the engine's
+    span timings, and a ``telemetry`` section with span aggregates and
+    the global counter registry (see :mod:`repro.telemetry`).
 
-Execution tiers, selected by the ``workers`` parameter:
-
-* ``workers=0`` (default) — the PR-2 in-process tier: one
-  ``ThreadingHTTPServer`` whose handlers funnel rows through a single
-  micro-batcher into the in-process engine.  Simple, but numpy under
-  threads is GIL-bound: one core regardless of the box.
-* ``workers>=1`` — the multi-process tier: handlers hand whole
-  requests to the :class:`~repro.serve.dispatch.Dispatcher`, which
-  load-balances over N pre-fork inference workers sharing one
-  read-only copy of the model through shared memory.  Each worker
-  micro-batches independently; admission control bounds the in-flight
-  queue.
+One ``ThreadingHTTPServer`` whose handlers funnel rows through a single
+:class:`~repro.serve.batcher.MicroBatcher` into the in-process engine.
+The batcher flushes when idle, so a request arriving at an idle server
+is one engine call away from its reply, and requests arriving under
+load share engine batches.
 """
 
 from __future__ import annotations
@@ -46,9 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from ..telemetry import TENSOR_OPS, Tracer, get_registry
-from .batcher import MicroBatcher
-from .dispatch import Dispatcher, DispatcherStopped, QueueFull, \
-    WorkerCrashed
+from .batcher import BatcherStopped, MicroBatcher
 from .engine import InferenceEngine
 from .metrics import ServingMetrics
 
@@ -112,12 +96,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif parsed.path == "/metrics":
             payload = app.metrics.snapshot()
             payload["engine"] = app.engine.stats()
-            if app.dispatcher is not None:
-                payload["dispatch"] = app.dispatcher.stats()
-            payload["batching"] = {
-                "max_batch_size": app.max_batch_size,
-                "max_delay_ms": app.max_delay_ms,
-            }
+            payload["batching"] = {"max_batch_size": app.max_batch_size}
             payload["telemetry"] = {
                 "spans": app.tracer.aggregate(),
                 "counters": app.registry.snapshot(),
@@ -135,15 +114,12 @@ class _Handler(BaseHTTPRequestHandler):
             "pinned": app.engine.is_pinned,
             "columns": app.engine.columns,
         }
-        if app.dispatcher is not None:
-            payload["workers"] = app.dispatcher.n_workers
-            payload["workers_ready"] = app.dispatcher.ready_count
         if live_only:
             # Liveness: the process is up and answering; warming is not
             # a reason to be restarted.
             payload["status"] = "alive"
             self._send_json(200, payload)
-        elif app.is_ready:
+        elif app.engine.is_pinned:
             payload["status"] = "ok"
             self._send_json(200, payload)
         else:
@@ -200,30 +176,25 @@ class _Handler(BaseHTTPRequestHandler):
                        request_span) -> None:
         try:
             rows, singleton = self._parse_rows()
-            imputed = app.impute_rows(rows)
+            imputed = app.batcher.submit_many(
+                rows, timeout=app.request_timeout)
         except (ValueError, KeyError, TypeError,
                 json.JSONDecodeError) as error:
             app.metrics.record_request(time.monotonic() - started, ok=False)
             request_span.set(outcome="bad_request")
             self._send_json(400, {"error": str(error)})
             return
-        except QueueFull as error:
-            app.metrics.record_rejected()
-            request_span.set(outcome="shed")
-            self._send_json(
-                429, {"error": str(error),
-                      "retry_after_seconds": error.retry_after},
-                headers={"Retry-After":
-                         str(max(1, int(round(error.retry_after))))})
-            return
         except TimeoutError:
             app.metrics.record_request(time.monotonic() - started, ok=False)
             request_span.set(outcome="timeout")
             self._send_json(503, {"error": "imputation timed out"})
             return
-        except (WorkerCrashed, DispatcherStopped) as error:
+        except BatcherStopped as error:
+            # The server is shutting down: tell a keep-alive client to
+            # retry elsewhere instead of reusing this connection.
             app.metrics.record_request(time.monotonic() - started, ok=False)
             request_span.set(outcome="unavailable")
+            self.close_connection = True
             self._send_json(503, {"error": str(error)},
                             headers={"Retry-After": "1"})
             return
@@ -248,85 +219,37 @@ class ImputationServer:
         construction if they were not already).
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`).
-    max_batch_size, max_delay_ms:
-        Micro-batching policy (see :class:`MicroBatcher`) — applied
-        in-process at ``workers=0``, per worker otherwise.
-    workers:
-        ``0`` serves in-process (threaded tier); ``>= 1`` pre-forks
-        that many inference worker processes behind a dispatch queue.
-    max_queue_depth:
-        Admission bound for the multi-process tier: requests beyond
-        this many in flight are answered ``429 Retry-After``.
+    max_batch_size:
+        Largest micro-batch (see :class:`MicroBatcher`).
     request_timeout:
         Per-request wait bound, seconds.
     """
 
     def __init__(self, engine: InferenceEngine, host: str = "127.0.0.1",
                  port: int = 8080, max_batch_size: int = 32,
-                 max_delay_ms: float = 5.0, workers: int = 0,
-                 max_queue_depth: int = 64,
                  request_timeout: float = 30.0, verbose: bool = False):
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         self.engine = engine
         engine.pin()
         self.metrics = ServingMetrics()
-        # Aggregate-only tracer shared by the HTTP handlers, the
-        # micro-batcher worker, and the dispatch layer: constant
-        # memory, exact per-path totals, surfaced under the
-        # ``telemetry`` key of ``GET /metrics``.
+        # Aggregate-only tracer shared by the HTTP handlers and the
+        # micro-batcher worker: constant memory, exact per-path totals,
+        # surfaced under the ``telemetry`` key of ``GET /metrics``.
         self.tracer = Tracer(max_spans=0)
         self.registry = get_registry()
         self.max_batch_size = max_batch_size
-        self.max_delay_ms = max_delay_ms
-        self.workers = workers
         self.request_timeout = request_timeout
         self.verbose = verbose
 
-        self.batcher: MicroBatcher | None = None
-        self.dispatcher: Dispatcher | None = None
-        if workers == 0:
-            self.batcher = MicroBatcher(
-                engine.impute_records, max_batch_size=max_batch_size,
-                max_delay_seconds=max_delay_ms / 1e3)
-            self.batcher.on_batch = self.metrics.record_batch
-            self.batcher.tracer = self.tracer
-        else:
-            self.dispatcher = Dispatcher(
-                engine, workers, max_queue_depth=max_queue_depth,
-                max_batch_size=max_batch_size, max_delay_ms=max_delay_ms,
-                row_timeout=request_timeout, tracer=self.tracer)
-            self.dispatcher.on_batch = self.metrics.record_batch
+        self.batcher = MicroBatcher(engine.impute_records,
+                                    max_batch_size=max_batch_size)
+        self.batcher.on_batch = self.metrics.record_batch
+        self.batcher.tracer = self.tracer
         self.started_at = time.monotonic()
 
         handler = type("BoundHandler", (_Handler,), {"serve_app": self})
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
-
-    # ------------------------------------------------------------------
-    def impute_rows(self, rows: list[dict]) -> list[dict]:
-        """Route one request's rows through the configured tier."""
-        if self.dispatcher is not None:
-            return self.dispatcher.submit(rows,
-                                          timeout=self.request_timeout)
-        return self.batcher.submit_many(rows,
-                                        timeout=self.request_timeout)
-
-    @property
-    def is_ready(self) -> bool:
-        """Readiness: engine pinned and every worker warmed."""
-        if not self.engine.is_pinned:
-            return False
-        if self.dispatcher is not None:
-            return self.dispatcher.all_ready
-        return True
-
-    def wait_ready(self, timeout: float = 60.0) -> bool:
-        """Block until :attr:`is_ready` (or ``timeout``); returns it."""
-        if self.dispatcher is not None:
-            self.dispatcher.wait_ready(timeout)
-        return self.is_ready
 
     # ------------------------------------------------------------------
     @property
@@ -362,18 +285,16 @@ class ImputationServer:
             self.stop()
 
     def stop(self) -> None:
-        """Graceful shutdown: close the listener, then drain the tier.
+        """Graceful shutdown: close the listener, then drain the batcher.
 
         The HTTP listener stops accepting first; accepted requests
-        drain through the batcher or the dispatch tier before the
-        workers are joined (no accepted request is dropped).
+        drain through the batcher before its worker is joined (no
+        accepted request is dropped).  A request that reaches a live
+        keep-alive connection afterwards is answered 503.
         """
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        if self.batcher is not None:
-            self.batcher.stop()
-        if self.dispatcher is not None:
-            self.dispatcher.stop(drain=True)
+        self.batcher.stop()

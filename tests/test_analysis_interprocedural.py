@@ -276,7 +276,6 @@ class TestRealRepo:
             "repro.distributed.worker.dp_worker_init",
             "repro.embeddings.walk_kernel.walk_shard",
             "repro.embeddings.sgns._sgns_epoch_shard",
-            "repro.serve.workers.worker_main",
         }
         assert expected <= set(project.worker_entries)
 
@@ -287,11 +286,11 @@ class TestRealRepo:
         assert taint.shared_params[
             "repro.embeddings.walk_kernel.walk_shard"] == {"shared"}
 
-    def test_serve_worker_threads_are_fork_reachable(self):
-        # worker_main creates feeder threads and runs in a forked
-        # child — it is exactly the RPR007 sanctioned-owner case, so
-        # the analyzer must see it as fork-reachable (the rule's
-        # exemption, not its blindness, is what keeps it clean).
+    def test_serve_is_not_fork_reachable(self):
+        # The serving tier runs in one process: none of its functions
+        # (whose threads and locks RPR007 would flag) may be reachable
+        # from a worker entry point.
         project, _ = self._project()
-        assert "repro.serve.workers.worker_main" in \
-            project.fork_reachable
+        forked = {qualname for qualname in project.fork_reachable
+                  if qualname.startswith("repro.serve.")}
+        assert forked == set()

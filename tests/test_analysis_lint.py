@@ -215,21 +215,22 @@ class TestRawThreading:
                                module="repro.embeddings.walks")
         assert codes(findings) == ["RPR004"]
 
-    def test_dispatch_and_worker_modules_own_process_primitives(self):
-        # The serving tier's dispatch/worker modules are the third
-        # sanctioned concurrency home: they pre-fork and supervise the
-        # inference workers, so process primitives are legitimate there.
+    def test_no_serve_module_owns_process_primitives(self):
+        # The serving layer is threads-only: no module of repro.serve,
+        # whatever its name, may own process primitives.
         source = ("import multiprocessing\n"
                   "import threading\n"
                   "import queue\n")
-        assert lint_source(source, module="repro.serve.dispatch") == []
-        assert lint_source(source, module="repro.serve.workers") == []
+        for module in ("repro.serve.server", "repro.serve.dispatch",
+                       "repro.serve.workers"):
+            assert codes(lint_source(source, module=module)) == \
+                ["RPR004"], module
 
     def test_process_primitives_flagged_in_threaded_serve_modules(self):
-        # Inside repro.serve, threads are sanctioned everywhere but the
-        # process side must stay in dispatch/workers: a second ad-hoc
-        # process tier in e.g. the batcher would dodge the supervision
-        # and shared-memory lifetime audit.
+        # Inside repro.serve, threads are sanctioned but the process
+        # side belongs to repro.parallel: an ad-hoc process tier in
+        # e.g. the batcher would dodge the supervision and
+        # shared-memory lifetime audit.
         for statement in ("import multiprocessing",
                           "from multiprocessing import shared_memory",
                           "from concurrent.futures import "

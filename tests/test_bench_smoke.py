@@ -138,13 +138,3 @@ def test_smoke_serve_bench_runs_and_emits_json(tmp_path):
     assert report["speedup"]["batched"] >= 3.0
     assert report["microbatched"]["mean_batch_size"] > 1.0
     assert "p99_under_deadline_budget" in report
-    # The multi-process tier: every sweep point served the full stream,
-    # the workers=1 path matched the in-process engine per-row, and the
-    # core-aware scaling target held (2.5x vs threaded on >= 4 cores,
-    # a don't-regress floor below that).
-    assert report["dispatched"]["parity"] is True
-    for point in report["dispatched"]["sweep"]:
-        assert point["rows_per_sec"] > 0.0
-        assert point["p99_ms"] >= point["p50_ms"]
-    assert report["scaling"]["meets_target"] is True
-    assert report["scaling"]["capacity"] >= 1

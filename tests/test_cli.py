@@ -66,7 +66,12 @@ class TestParser:
         args = build_parser().parse_args(["serve", "model.ckpt"])
         assert args.port == 8080
         assert args.max_batch_size == 32
-        assert args.max_delay_ms == 5.0
+
+    @pytest.mark.parametrize("flag", ["--max-delay-ms", "--serve-workers",
+                                      "--max-queue-depth"])
+    def test_serve_has_one_tier(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "model.ckpt", flag, "1"])
 
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace"])

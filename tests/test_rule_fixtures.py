@@ -96,6 +96,16 @@ FIXTURES = {
              "    return task\n"
              "def run(tasks):\n"
              "    return parallel_map(shard_fn, tasks, shared={})\n"),
+            # The serving layer is threads-only and owns no forked code.
+            ("repro.serve.x",
+             "import multiprocessing\n"
+             "import threading\n"
+             "def worker_main(spec):\n"
+             "    lock = threading.Lock()\n"
+             "    return spec\n"
+             "def launch(spec):\n"
+             "    return multiprocessing.Process(target=worker_main,\n"
+             "                                   args=(spec,))\n"),
             # Reachability crosses module boundaries.
             {"repro/distributed/a.py":
                 "from repro.parallel import ShardPool\n"
@@ -116,19 +126,17 @@ FIXTURES = {
                 "    return task\n"},
         ],
         "false": [
-            # Sanctioned owner: the serve worker loop's feeder threads
-            # are the audited design even though worker_main runs in a
-            # forked child.
-            {"repro/serve/dispatch.py":
-                "from repro.parallel import start_worker\n"
-                "from repro.serve.workers import worker_main\n"
-                "def launch(spec):\n"
-                "    return start_worker(worker_main, spec)\n",
-             "repro/serve/workers.py":
-                "import threading\n"
-                "def worker_main(spec):\n"
-                "    lock = threading.Lock()\n"
-                "    return spec\n"},
+            # Sanctioned owner: the pool substrate may create threads in
+            # the code its forked workers run.
+            ("repro.parallel.x",
+             "import multiprocessing\n"
+             "import threading\n"
+             "def worker_main(spec):\n"
+             "    lock = threading.Lock()\n"
+             "    return spec\n"
+             "def launch(spec):\n"
+             "    return multiprocessing.Process(target=worker_main,\n"
+             "                                   args=(spec,))\n"),
             # Not reachable from any worker entry -> parent-side code.
             ("repro.gnn.x",
              "import threading\n"

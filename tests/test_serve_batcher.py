@@ -26,8 +26,7 @@ class TestHammer:
                 processed.extend(items)
             return [item * 2 for item in items]
 
-        batcher = MicroBatcher(process, max_batch_size=16,
-                               max_delay_seconds=0.002)
+        batcher = MicroBatcher(process, max_batch_size=16)
         results: dict[int, int] = {}
         results_lock = threading.Lock()
         errors = []
@@ -64,8 +63,7 @@ class TestHammer:
             release.wait(5.0)
             return doubler(items)
 
-        batcher = MicroBatcher(slow_process, max_batch_size=8,
-                               max_delay_seconds=0.01)
+        batcher = MicroBatcher(slow_process, max_batch_size=8)
         batcher.on_batch = sizes.append
         threads = [threading.Thread(target=batcher.submit, args=(index,),
                                     kwargs={"timeout": 30.0})
@@ -94,8 +92,7 @@ class TestPolicy:
             gate.wait(5.0)
             return doubler(items)
 
-        batcher = MicroBatcher(process, max_batch_size=4,
-                               max_delay_seconds=10.0)
+        batcher = MicroBatcher(process, max_batch_size=4)
         batcher.on_batch = sizes.append
         threads = [threading.Thread(target=batcher.submit, args=(index,),
                                     kwargs={"timeout": 30.0})
@@ -107,24 +104,25 @@ class TestPolicy:
         for thread in threads:
             thread.join()
         batcher.stop()
-        # A 10-second deadline means only the size bound can flush the
-        # queued items: batches of at most 4, no 10 s stall.
+        # The items queued behind the gate flush in size-bounded
+        # batches of at most 4.
         assert sum(sizes) == 9
         assert all(size <= 4 for size in sizes)
 
-    def test_flushes_at_deadline_without_filling(self):
-        batcher = MicroBatcher(doubler, max_batch_size=1000,
-                               max_delay_seconds=0.01)
-        started = time.monotonic()
-        assert batcher.submit(21, timeout=30.0) == 42
-        assert time.monotonic() - started < 5.0
+    def test_lone_item_is_answered_without_waiting_for_batch_mates(self):
+        sizes = []
+        batcher = MicroBatcher(doubler, max_batch_size=1000)
+        batcher.on_batch = sizes.append
+        # Flush when idle: nothing else is queued, so the item is its
+        # own batch at once, however large a batch may grow.
+        for value in range(5):
+            assert batcher.submit(value, timeout=30.0) == 2 * value
         batcher.stop()
+        assert sizes == [1] * 5
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
             MicroBatcher(doubler, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(doubler, max_delay_seconds=-1.0)
 
 
 class TestFailureIsolation:
@@ -140,8 +138,7 @@ class TestFailureIsolation:
             gate.wait(5.0)
             return process(items)
 
-        batcher = MicroBatcher(gated_process, max_batch_size=8,
-                               max_delay_seconds=0.01)
+        batcher = MicroBatcher(gated_process, max_batch_size=8)
         outcomes: dict[str, object] = {}
         lock = threading.Lock()
 
@@ -168,8 +165,7 @@ class TestFailureIsolation:
         assert isinstance(outcomes["poison"], ValueError)
 
     def test_wrong_result_length_is_an_error(self):
-        batcher = MicroBatcher(lambda items: [], max_batch_size=4,
-                               max_delay_seconds=0.001)
+        batcher = MicroBatcher(lambda items: [], max_batch_size=4)
         with pytest.raises(RuntimeError, match="results"):
             batcher.submit("x", timeout=30.0)
         batcher.stop()
@@ -179,8 +175,7 @@ class TestFailureIsolation:
             time.sleep(0.5)
             return doubler(items)
 
-        batcher = MicroBatcher(stall, max_batch_size=4,
-                               max_delay_seconds=0.001)
+        batcher = MicroBatcher(stall, max_batch_size=4)
         with pytest.raises(TimeoutError):
             batcher.submit(1, timeout=0.05)
         batcher.stop()
@@ -213,8 +208,7 @@ class TestShutdownRace:
 
     def test_submits_racing_stop_never_hang(self):
         for _ in range(20):
-            batcher = MicroBatcher(doubler, max_batch_size=4,
-                                   max_delay_seconds=0.0)
+            batcher = MicroBatcher(doubler, max_batch_size=4)
             outcomes = []
             lock = threading.Lock()
             start = threading.Barrier(5)
@@ -266,8 +260,7 @@ class TestShutdownRace:
             release.wait(5.0)
             return doubler(items)
 
-        batcher = MicroBatcher(slow, max_batch_size=1,
-                               max_delay_seconds=0.0)
+        batcher = MicroBatcher(slow, max_batch_size=1)
         outcomes = []
         lock = threading.Lock()
 

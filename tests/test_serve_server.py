@@ -49,17 +49,7 @@ def imputer():
 @pytest.fixture(scope="module")
 def server(imputer):
     instance = ImputationServer(InferenceEngine(imputer), port=0,
-                                max_batch_size=16, max_delay_ms=3.0)
-    instance.start()
-    yield instance
-    instance.stop()
-
-
-@pytest.fixture(scope="module")
-def undelayed_server(imputer):
-    """No batching delay: a round trip is transport plus one engine call."""
-    instance = ImputationServer(InferenceEngine(imputer), port=0,
-                                max_batch_size=16, max_delay_ms=0.0)
+                                max_batch_size=16)
     instance.start()
     yield instance
     instance.stop()
@@ -95,6 +85,11 @@ class TestEndpoints:
         assert payload["columns"] == ["city", "country", "population"]
         assert payload["uptime_seconds"] >= 0
 
+    def test_healthz_liveness(self, server):
+        status, payload = get(server, "/healthz?live=1")
+        assert status == 200
+        assert payload["status"] == "alive"
+
     def test_impute_single_row(self, server):
         status, payload = post(server, "/impute", {
             "row": {"city": "paris", "country": None, "population": 2.1}})
@@ -126,7 +121,7 @@ class TestEndpoints:
         assert payload["rows_imputed"] >= 1
         assert payload["latency_ms"]["p50"] >= 0
         assert payload["engine"]["pinned"] is True
-        assert payload["batching"]["max_batch_size"] == 16
+        assert payload["batching"] == {"max_batch_size": 16}
         assert payload["batches"] >= 1
 
     def test_metrics_expose_telemetry_section(self, server):
@@ -202,11 +197,60 @@ class TestConcurrentClients:
 PARIS_ROW = {"row": {"city": "paris", "country": None, "population": 2.1}}
 
 
+class TestUnavailable:
+    """Requests the server accepts but cannot answer get a 503."""
+
+    def test_timeout_maps_to_503(self, imputer):
+        release = threading.Event()
+
+        def stall(records):
+            release.wait(10.0)
+            return records
+
+        instance = ImputationServer(InferenceEngine(imputer), port=0,
+                                    request_timeout=0.2)
+        instance.batcher.process_batch = stall
+        instance.start()
+        try:
+            status, payload = post(instance, "/impute", PARIS_ROW)
+        finally:
+            release.set()
+            instance.stop()
+        assert status == 503
+        assert "timed out" in payload["error"]
+
+    def test_request_after_stop_maps_to_503(self, imputer):
+        instance = ImputationServer(InferenceEngine(imputer),
+                                    port=0).start()
+        body = json.dumps(PARIS_ROW)
+        connection = http.client.HTTPConnection(instance.host,
+                                                instance.port, timeout=30)
+        try:
+            connection.request("POST", "/impute", body,
+                               {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            instance.stop()
+            # The keep-alive connection outlives the listener: its next
+            # request reaches a stopped batcher and must still be
+            # answered, not dropped.
+            connection.request("POST", "/impute", body,
+                               {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 503
+            assert response.getheader("Retry-After") == "1"
+            assert response.getheader("Connection") == "close"
+            assert "stopped" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
+
 class TestKeepAliveTransport:
     """One reused connection, as a production client keeps it."""
 
-    def test_back_to_back_requests_do_not_stall(self, undelayed_server):
-        trips = keepalive_round_trips(undelayed_server, PARIS_ROW, 20)
+    def test_back_to_back_requests_do_not_stall(self, server):
+        trips = keepalive_round_trips(server, PARIS_ROW, 20)
         for _, status, reply in trips:
             assert status == 200
             assert reply["row"]["country"] == "france"
@@ -217,9 +261,9 @@ class TestKeepAliveTransport:
         assert median_ms < 20.0
 
     def test_each_reply_is_one_write_on_a_nodelay_socket(
-            self, undelayed_server, monkeypatch):
-        connections = record_transport(undelayed_server, monkeypatch)
-        trips = keepalive_round_trips(undelayed_server, PARIS_ROW, 5)
+            self, server, monkeypatch):
+        connections = record_transport(server, monkeypatch)
+        trips = keepalive_round_trips(server, PARIS_ROW, 5)
         assert len(connections) == 1
         assert connections[0]["nodelay"] != 0
         writes = connections[0]["writes"]
@@ -231,10 +275,9 @@ class TestKeepAliveTransport:
             assert json.loads(body)["row"]["country"] == "france"
 
     def test_expect_100_continue_is_answered_before_the_body(
-            self, undelayed_server):
+            self, server):
         body = json.dumps(PARIS_ROW).encode("utf-8")
-        with socket.create_connection((undelayed_server.host,
-                                       undelayed_server.port),
+        with socket.create_connection((server.host, server.port),
                                       timeout=5) as client:
             client.sendall(b"POST /impute HTTP/1.1\r\nHost: test\r\n"
                            b"Expect: 100-continue\r\nContent-Length: "
@@ -296,14 +339,12 @@ class TestServingMetrics:
         for latency in (0.01, 0.02, 0.03):
             metrics.record_request(latency, n_rows=2)
         metrics.record_request(0.5, ok=False)
-        metrics.record_rejected()
         metrics.record_batch(3)
         metrics.record_batch(3)
         metrics.record_batch(1)
         snapshot = metrics.snapshot()
-        assert snapshot["requests"] == 5
+        assert snapshot["requests"] == 4
         assert snapshot["errors"] == 1
-        assert snapshot["rejected"] == 1
         assert snapshot["rows_imputed"] == 6
         assert snapshot["latency_ms"]["count"] == 3
         assert snapshot["latency_ms"]["mean"] == pytest.approx(20.0)
