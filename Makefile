@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast lint bench-smoke bench-hotpath serve-smoke \
 	serve-bench embed-smoke bench-embed sampling-smoke bench-sampling \
-	dp-smoke bench-dp-smoke bench-dp ci-gate
+	ci-gate
 
 # Tier-1 gate (ROADMAP): full suite, stop at the first failure.
 test:
@@ -60,25 +60,10 @@ sampling-smoke:
 bench-sampling:
 	$(PYTHON) benchmarks/bench_sampling.py
 
-# Data-parallel correctness smoke: the parity and determinism legs
-# only (exact-bits checks, exits non-zero on any mismatch) — the CI
-# dp-smoke job runs this on every matrix Python.
-dp-smoke:
-	$(PYTHON) benchmarks/bench_dp.py --smoke --legs parity,determinism
-
-# All four data-parallel legs on the smoke profile; writes the
-# manifest the ci-gate checks against benchmarks/baselines/dp.json.
-bench-dp-smoke:
-	$(PYTHON) benchmarks/bench_dp.py --smoke
-
-# Full data-parallel benchmark; writes BENCH_dp.json in the repo root.
-bench-dp:
-	$(PYTHON) benchmarks/bench_dp.py
-
 # CI regression gate: run the smoke benchmarks, then check their run
 # manifests against the committed baselines (non-zero exit on
 # regression).  See docs/observability.md.
-ci-gate: bench-smoke serve-smoke embed-smoke sampling-smoke bench-dp-smoke
+ci-gate: bench-smoke serve-smoke embed-smoke sampling-smoke
 	$(PYTHON) scripts/check_bench_regression.py \
 		BENCH_hotpath_manifest.json benchmarks/baselines/hotpath.json
 	$(PYTHON) scripts/check_bench_regression.py \
@@ -87,5 +72,3 @@ ci-gate: bench-smoke serve-smoke embed-smoke sampling-smoke bench-dp-smoke
 		BENCH_embed_manifest.json benchmarks/baselines/embed.json
 	$(PYTHON) scripts/check_bench_regression.py \
 		BENCH_sampling_manifest.json benchmarks/baselines/sampling.json
-	$(PYTHON) scripts/check_bench_regression.py \
-		BENCH_dp_manifest.json benchmarks/baselines/dp.json

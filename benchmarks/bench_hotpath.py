@@ -10,7 +10,7 @@ Emits a machine-readable ``BENCH_hotpath.json`` with per-phase epoch
 breakdowns (forward/backward/step), minor page faults per epoch of the
 training loop (``faults_per_epoch``: a step whose freed buffers go back
 to the OS faults them in again next step, see
-:func:`repro.distributed.shard.keep_freed_pages`) and imputation
+:func:`repro.core.step.keep_freed_pages`) and imputation
 accuracy per run.
 Absolute epoch times are informational; end-to-end fit time is gated
 by ``perfbench``.  A schema-versioned run manifest

@@ -7,7 +7,6 @@
 #                  the project lint rules (`repro lint`)
 #   test        -> make test-fast, the slow/bench-marked tests, the
 #                  perfbench smoke, then make sampling-smoke
-#   dp-smoke    -> make dp-smoke (DP parity + worker determinism)
 #   bench-gate  -> make ci-gate (smoke benchmarks + baseline check)
 #
 # tests/test_ci_gate.py checks that every Makefile target and pytest path
@@ -37,9 +36,6 @@ PYTHONPATH=src python -m pytest -q perfbench/test_smoke.py
 
 echo "==> [test] sampled-training smoke"
 make sampling-smoke
-
-echo "==> [dp-smoke] data-parallel parity + worker-count determinism"
-make dp-smoke
 
 echo "==> [bench-gate] smoke benchmarks + baseline regression gate"
 make ci-gate

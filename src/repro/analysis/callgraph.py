@@ -37,7 +37,7 @@ _MAX_ALIAS_HOPS = 8
 class WorkerEntry:
     """One function registered to run inside a forked worker."""
 
-    qualname: str  # fully dotted, e.g. repro.distributed.worker.dp_train_shard
+    qualname: str  # fully dotted, e.g. repro.embeddings.walk_kernel.walk_shard
     #: Index of the parameter bound to the shared-view pack, if any.
     shared_param: int | None
     #: Where the registration happened (module, line) for diagnostics.

@@ -49,12 +49,9 @@ HOT_PACKAGES = ("repro.tensor", "repro.gnn", "repro.nn")
 #: minibatch schedule must derive every draw from the config seed via
 #: ``spawn_seeds`` — seeded ``default_rng`` is sanctioned, bare
 #: ``np.random.*`` is not (sampled epochs are part of the training
-#: result and must be bisectable).  ``repro.distributed`` is in scope
-#: for the same reason: the shard partition and reduce are part of the
-#: training result, and the bit-identical-across-worker-counts
-#: contract dies the moment an unseeded draw sneaks in.
+#: result and must be bisectable).
 MODEL_PACKAGES = HOT_PACKAGES + ("repro.graph", "repro.core",
-                                 "repro.sampling", "repro.distributed")
+                                 "repro.sampling")
 
 #: Packages that must allocate in the engine default dtype (RPR001).
 #: Wider than the epoch-loop hot path: the embedding pre-compute, the
@@ -69,11 +66,8 @@ SERVE_PACKAGE = "repro.serve"
 
 #: Packages sanctioned to own concurrency primitives (RPR004):
 #: ``repro.serve`` for threads, ``repro.parallel`` for process pools
-#: and shared memory, ``repro.distributed`` for the data-parallel
-#: training coordinator that drives those pools.  Everything else
-#: describes shards and delegates.
-CONCURRENCY_PACKAGES = (SERVE_PACKAGE, "repro.parallel",
-                        "repro.distributed")
+#: and shared memory.  Everything else describes shards and delegates.
+CONCURRENCY_PACKAGES = (SERVE_PACKAGE, "repro.parallel")
 
 _NOQA = re.compile(
     r"#\s*repro:\s*noqa"

@@ -229,9 +229,7 @@ class RawThreading(Rule):
         "describe shards and hand them to repro.parallel.parallel_map "
         "(repro.sampling is the template: its minibatch schedule takes "
         "seeds from repro.parallel.spawn_seeds but owns no pool, which "
-        "is exactly why its batch order is worker-count independent; "
-        "repro.distributed is the sanctioned exception that coordinates "
-        "pools directly for data-parallel training). "
+        "is exactly why its batch order is worker-count independent). "
         "Inside repro.serve, process primitives are flagged too: the "
         "serving layer is threads-only and must not quietly grow a "
         "process tier.  Telemetry's internal locks are the sanctioned "
@@ -243,14 +241,7 @@ class RawThreading(Rule):
                         "concurrent")
 
     def applies_to(self, module: str) -> bool:
-        if in_package(module, "repro.parallel"):
-            return False
-        if in_package(module, "repro.distributed"):
-            # The data-parallel coordinator/workers own their pool's
-            # lifecycle (via repro.parallel.ShardPool today, and any
-            # direct process plumbing they grow tomorrow).
-            return False
-        return True
+        return not in_package(module, "repro.parallel")
 
     def check(self, context: LintContext) -> list[Finding]:
         in_serve = in_package(context.module, SERVE_PACKAGE)
@@ -491,11 +482,11 @@ class RngProvenance(ProjectRule):
     severity = "warning"
     rationale = (
         "RPR005 catches the *unseeded* default_rng(); this rule checks "
-        "the seeded ones.  In model/sampling/distributed scope every "
+        "the seeded ones.  In model/sampling scope every "
         "Generator must derive from the config seed — a spawn_seeds "
         "child, a SeedSequence spawn, or an explicitly threaded seed "
-        "value — or worker schedules drift apart across worker counts "
-        "and the bit-identical-reduction contract dies.  A seed that "
+        "value — or a fixed config seed stops reproducing the same "
+        "sampled schedule bit for bit.  A seed that "
         "is a literal constant, flows from a seed-like parameter or "
         "call (seed/rng/seq in the name), or comes through spawn_seeds "
         "is sanctioned; an arbitrary expression (time, pids, array "

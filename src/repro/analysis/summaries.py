@@ -3,9 +3,9 @@
 The per-file rules in :mod:`repro.analysis.rules` see one AST at a
 time, which is enough for syntactic invariants ("no ``np.float64`` on
 the hot path") but blind to the properties the multi-process stack
-actually depends on: a worker function in ``repro.distributed`` that
+actually depends on: a worker function in ``repro.embeddings`` that
 scribbles on a shared-memory view is three call frames away from the
-``ShardPool`` registration that made the view shared.  This module
+``parallel_map`` registration that made the view shared.  This module
 compresses every file into a :class:`ModuleSummary` — imports, defined
 functions, call sites, and *taint events* — that
 :mod:`repro.analysis.callgraph` links into a whole-repo graph and

@@ -81,18 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "minibatch training (grimp-* only; requires "
                              "--batch-size; default 0 = exact "
                              "neighborhoods)")
-    impute.add_argument("--dp-shards", type=int, default=None,
-                        help="data-parallel shards per training epoch "
-                             "(grimp-* only; requires --batch-size; "
-                             "results depend on the shard count but not "
-                             "the worker count, and 1 matches serial "
-                             "sampled training bit-for-bit)")
-    impute.add_argument("--dp-workers", type=int, default=None,
-                        help="worker processes for data-parallel "
-                             "training (grimp-* only; requires "
-                             "--dp-shards; default: $REPRO_WORKERS or 1, "
-                             "clamped to --dp-shards; results are "
-                             "identical for every count)")
     impute.add_argument("--checkpoint", default=None, metavar="DIR",
                         help="after fitting, save the model to this "
                              "checkpoint directory (grimp-* only; "
@@ -230,9 +218,7 @@ def _command_impute(args) -> int:
     fds = tuple(discover_fds(dirty)) if args.discover_fds else ()
     imputer = make_imputer(args.algorithm, profile=args.profile, fds=fds,
                            seed=args.seed, dtype=args.dtype,
-                           batch_size=args.batch_size, fanout=args.fanout,
-                           dp_shards=args.dp_shards,
-                           dp_workers=args.dp_workers)
+                           batch_size=args.batch_size, fanout=args.fanout)
     imputed = imputer.impute(dirty)
     write_csv(imputed, args.output)
     filled = sum(1 for row, column in dirty.missing_cells()

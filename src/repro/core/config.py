@@ -71,18 +71,6 @@ class GrimpConfig:
     fanout: int | None = None
     #: LRU capacity of the compiled-plan cache for sampled subgraphs.
     plan_cache_size: int = 16
-    #: Data-parallel shards per epoch (:mod:`repro.distributed`).
-    #: ``None`` keeps sampled training serial; ``k >= 1`` partitions
-    #: each epoch's minibatch schedule into ``k`` fixed shards trained
-    #: in parallel and reduced by sample-weighted averaging.  Results
-    #: depend on the shard count but NOT on the worker count; ``1`` is
-    #: bit-identical to serial sampled training.  Requires
-    #: ``batch_size``.
-    dp_shards: int | None = None
-    #: Worker processes for data-parallel training (default:
-    #: ``$REPRO_WORKERS`` or 1, clamped to ``dp_shards``).  Any value
-    #: produces bit-identical results at fixed ``dp_shards``.
-    dp_workers: int | None = None
     #: GNN sub-module type for every column ("sage" or "gcn").
     gnn_layer_type: str = "sage"
     #: Training dtype: "float32" (default, ~2x faster on the dense hot
@@ -118,18 +106,6 @@ class GrimpConfig:
                                  "training is minibatched)")
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be positive")
-        if self.dp_shards is not None:
-            if self.dp_shards < 1:
-                raise ValueError("dp_shards must be >= 1 when set")
-            if self.batch_size is None:
-                raise ValueError("dp_shards requires batch_size (data-"
-                                 "parallel training shards the sampled "
-                                 "minibatch schedule)")
-        if self.dp_workers is not None:
-            if self.dp_workers < 1:
-                raise ValueError("dp_workers must be >= 1 when set")
-            if self.dp_shards is None:
-                raise ValueError("dp_workers requires dp_shards")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if self.dtype not in ("float32", "float64"):

@@ -14,8 +14,6 @@ import time
 import numpy as np
 
 from ..data import NumericNormalizer, Table, TableEncoder
-from ..distributed import (DataParallelTrainer, evaluate, sampled_inputs,
-                           step, train_shard)
 from ..embeddings import initialize_node_features
 from ..gnn import (MessagePassingPlan, build_gather_operator,
                    column_adjacencies, conversion_counts)
@@ -31,6 +29,7 @@ from .corpus import build_training_corpus, samples_by_task, split_corpus
 from .fill import Predict, fill_missing
 from .model import (GrimpModel, build_node_index_matrix,
                     build_sample_indices, fd_related_columns)
+from .step import evaluate, sampled_inputs, step
 
 __all__ = ["GrimpImputer", "FittedArtifacts"]
 
@@ -98,7 +97,6 @@ class GrimpImputer(Imputer):
         "fit/features",
         "fit/plan",
         "fit/freeze",
-        "fit/dp_setup",
         "fit/index",
         "fit/train",
         "fit/train/epoch",
@@ -111,13 +109,6 @@ class GrimpImputer(Imputer):
         "fit/train/epoch/batch/forward",
         "fit/train/epoch/batch/backward",
         "fit/train/epoch/batch/step",
-        "fit/train/epoch/shard",
-        "fit/train/epoch/shard/sample",
-        "fit/train/epoch/shard/compile",
-        "fit/train/epoch/shard/forward",
-        "fit/train/epoch/shard/backward",
-        "fit/train/epoch/shard/step",
-        "fit/train/epoch/shard/reduce",
         "fit/train/epoch/validate",
         "fit/fill",
     )
@@ -157,8 +148,7 @@ class GrimpImputer(Imputer):
 
         Two training paths: full-graph (``batch_size`` unset) and
         sampled minibatch (``batch_size`` set; without ``fanout`` the
-        neighborhoods are exact, i.e. ``fanout=0``), the latter serial or
-        data-parallel.
+        neighborhoods are exact, i.e. ``fanout=0``).
         """
         config = self.config
         rng = np.random.default_rng(config.seed)
@@ -168,7 +158,6 @@ class GrimpImputer(Imputer):
         self.trace_ = tracer
         use_sampling = config.batch_size is not None
         fanout = 0 if config.fanout is None else config.fanout
-        use_dp = use_sampling and config.dp_shards is not None
         meta: dict[str, object] = {"dtype": config.dtype}
         if use_sampling:
             meta["sampling"] = {"fanout": fanout,
@@ -224,9 +213,9 @@ class GrimpImputer(Imputer):
             self.plan_cache_: SubgraphPlanCache | None = None
             if use_sampling:
                 with tracer.span("freeze"):
-                    frozen = FrozenGraph.freeze(raw_adjacencies,
-                                                dtype=dtype)
-                    sampler = NeighborSampler(frozen, fanout=fanout)
+                    sampler = NeighborSampler(
+                        FrozenGraph.freeze(raw_adjacencies, dtype=dtype),
+                        fanout=fanout)
                     self.plan_cache_ = SubgraphPlanCache(
                         config.plan_cache_size, dtype=dtype)
 
@@ -277,40 +266,11 @@ class GrimpImputer(Imputer):
                     config.batch_size,
                     np.random.SeedSequence([config.seed, 0x5A3B]))
 
-            dp = None
-            if use_dp:
-                with tracer.span("dp_setup"):
-                    dp = DataParallelTrainer(
-                        model=model, optimizer=optimizer,
-                        iterator=iterator, config=config, frozen=frozen,
-                        edge_types=edge_types,
-                        columns=list(normalized.column_names),
-                        kinds=dict(normalized.kinds),
-                        cardinalities=cardinalities,
-                        attribute_vectors=features.attribute_vectors,
-                        fd_related=fd_related,
-                        task_columns=list(train_data),
-                        task_arrays=[(train_data[column].indices,
-                                      train_data[column].targets)
-                                     for column in train_data],
-                        task_sizes=[train_data[column].n
-                                    for column in train_data],
-                        feature_array=None if config.train_features
-                        else feature_tensor.data,
-                        null_index=null_index)
-                meta["sampling"]["dp"] = {"shards": dp.dp_shards,
-                                          "workers": dp.workers}
-
             conversions_before = conversion_counts()
-            try:
-                self._train_loop(
-                    model, optimizer, dp, sampler, adjacencies,
-                    feature_tensor, train_data, validation_data,
-                    iterator, null_index, stopper, tracer)
-            finally:
-                if dp is not None:
-                    dp.close()
-            best_state, _ = self._best_state
+            best_state = self._train_loop(
+                model, optimizer, sampler, adjacencies, feature_tensor,
+                train_data, validation_data, iterator, null_index, stopper,
+                tracer)
             conversions_after = conversion_counts()
             meta["train_conversions"] = {
                 kind: conversions_after[kind] - conversions_before[kind]
@@ -318,9 +278,6 @@ class GrimpImputer(Imputer):
             if use_sampling:
                 meta["sampling"]["n_batches"] = iterator.n_batches
                 meta["sampling"]["plan_cache"] = self.plan_cache_.stats()
-                if dp is not None and dp.last_plan_cache:
-                    meta["sampling"]["dp"]["plan_caches"] = \
-                        dp.last_plan_cache
 
             model.load_state_dict(best_state)
             self._artifacts = FittedArtifacts(
@@ -348,22 +305,18 @@ class GrimpImputer(Imputer):
         self.timings_ = report
         return imputed
 
-    def _train_loop(self, model, optimizer, dp, sampler, adjacencies,
+    def _train_loop(self, model, optimizer, sampler, adjacencies,
                     feature_tensor, train_data, validation_data, iterator,
-                    null_index, stopper, tracer) -> None:
-        """The epoch loop shared by both training paths.
+                    null_index, stopper, tracer) -> dict:
+        """The epoch loop shared by both training paths; returns the
+        state with the best validation loss.
 
-        A full-graph epoch is one :func:`~repro.distributed.step` over
-        every task; a sampled epoch one step per batch.  Tracks the
-        best validation state in ``self._best_state`` so the caller
-        can restore it after the (possibly pooled) loop winds down —
-        extracted so data-parallel worker shutdown can wrap the loop in
-        one try/finally.
+        A full-graph epoch is one :func:`~repro.core.step.step` over
+        every task; a sampled epoch one step per batch.
         """
         config = self.config
         best_state = model.state_dict()
         best_validation = float("inf")
-        self._best_state = (best_state, best_validation)
         train_parts = _parts(train_data)
         graph_validation = [(1, [(1, adjacencies, feature_tensor,
                                   _parts(validation_data))])] \
@@ -372,9 +325,7 @@ class GrimpImputer(Imputer):
             for epoch in range(config.epochs):
                 model.train()
                 with tracer.span("epoch", epoch=epoch) as epoch_span:
-                    if dp is not None:
-                        epoch_loss = dp.run_epoch(epoch, tracer)
-                    elif sampler is not None:
+                    if sampler is not None:
                         epoch_loss = self._sampled_epoch(
                             model, optimizer, sampler, feature_tensor,
                             train_data, iterator, epoch, null_index,
@@ -402,9 +353,9 @@ class GrimpImputer(Imputer):
                 if metric < best_validation:
                     best_validation = metric
                     best_state = model.state_dict()
-                    self._best_state = (best_state, best_validation)
                 if stopper.update(metric, epoch):
                     break
+        return best_state
 
     def _validate(self, model: GrimpModel, groups) -> float:
         """Validation loss: the sum over tasks of each task's mean loss.
@@ -535,9 +486,8 @@ class GrimpImputer(Imputer):
     # Sampled training (repro.sampling): each step runs message passing
     # over a compact sampled subgraph instead of the whole graph, so
     # per-step activation memory scales with the batch neighborhood,
-    # not the table.  The step itself lives in repro.distributed.shard
-    # and is shared verbatim with full-graph epochs and the
-    # data-parallel shard workers — dp_shards=1 parity is structural.
+    # not the table.  The step itself lives in repro.core.step and is
+    # shared verbatim with full-graph epochs.
     # ------------------------------------------------------------------
     def _sampled_epoch(self, model: GrimpModel, optimizer: Adam,
                        sampler: NeighborSampler, feature_tensor: Tensor,
@@ -546,21 +496,27 @@ class GrimpImputer(Imputer):
                        null_index: int, tracer: Tracer) -> float:
         """One epoch of neighbor-sampled minibatch steps.
 
+        Every scheduled batch steps, even one whose context is entirely
+        masked: it trains on zero vectors rather than being skipped.
         The returned loss matches full-graph semantics: the sum over
         tasks of each task's sample-weighted mean batch loss (a
         full-graph step sums per-task means).
         """
         task_columns = list(data)
-        sums = train_shard(
-            model=model, optimizer=optimizer, sampler=sampler,
-            plan_cache=self.plan_cache_, feature_tensor=feature_tensor,
-            columns=task_columns,
-            data=[(data[column].indices, data[column].targets)
-                  for column in task_columns],
-            batches=[(batch.task, batch.rows, batch.seed)
-                     for batch in iterator.epoch(epoch)],
-            null_index=null_index,
-            categorical_loss=self.config.categorical_loss, tracer=tracer)
+        sums = [0.0] * len(task_columns)
+        n_layers = model.shared.gnn.n_layers
+        for task, rows, seed in iterator.epoch(epoch):
+            column = task_columns[task]
+            task_data = data[column]
+            with tracer.span("batch"):
+                operators, features, local = sampled_inputs(
+                    sampler, self.plan_cache_, n_layers, feature_tensor,
+                    task_data.indices[rows], null_index,
+                    np.random.default_rng(seed), tracer)
+                loss = step(model, optimizer, operators, features,
+                            [(column, local, None, task_data.targets[rows])],
+                            self.config.categorical_loss, tracer)
+                sums[task] += loss * rows.size
         return sum(sums[task] / data[column].n
                    for task, column in enumerate(task_columns)
                    if data[column].n)

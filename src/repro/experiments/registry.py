@@ -56,9 +56,7 @@ def make_imputer(name: str, profile: str = "fast",
                  fds: tuple[FunctionalDependency, ...] = (),
                  seed: int = 0, dtype: str | None = None,
                  batch_size: int | None = None,
-                 fanout: int | None = None,
-                 dp_shards: int | None = None,
-                 dp_workers: int | None = None) -> Imputer:
+                 fanout: int | None = None) -> Imputer:
     """Build a configured imputer by its experiment name.
 
     Parameters
@@ -81,10 +79,6 @@ def make_imputer(name: str, profile: str = "fast",
         Minibatch/neighbor-sampling knobs (:mod:`repro.sampling`);
         GRIMP variants only.  ``fanout`` requires ``batch_size``; see
         :class:`~repro.core.GrimpConfig`.
-    dp_shards / dp_workers:
-        Data-parallel training knobs (:mod:`repro.distributed`); GRIMP
-        variants only.  ``dp_shards`` requires ``fanout``; results
-        depend on the shard count but not on ``dp_workers``.
     """
     if profile not in ("fast", "paper"):
         raise ValueError(f"unknown profile {profile!r}")
@@ -95,10 +89,6 @@ def make_imputer(name: str, profile: str = "fast",
             not name.startswith("grimp"):
         raise ValueError(f"batch_size/fanout only apply to grimp-* "
                          f"algorithms, not {name!r}")
-    if (dp_shards is not None or dp_workers is not None) and \
-            not name.startswith("grimp"):
-        raise ValueError(f"dp_shards/dp_workers only apply to grimp-* "
-                         f"algorithms, not {name!r}")
     fast = profile == "fast"
     embdi_kwargs = {"epochs": 1, "walks_per_node": 2} if fast \
         else {"epochs": 3, "walks_per_node": 5}
@@ -107,10 +97,6 @@ def make_imputer(name: str, profile: str = "fast",
         grimp_overrides["batch_size"] = batch_size
     if fanout is not None:
         grimp_overrides["fanout"] = fanout
-    if dp_shards is not None:
-        grimp_overrides["dp_shards"] = dp_shards
-    if dp_workers is not None:
-        grimp_overrides["dp_workers"] = dp_workers
 
     if name in ("grimp-ft", "grimp-mt"):
         return GrimpImputer(_grimp_config(profile, seed, **grimp_overrides))

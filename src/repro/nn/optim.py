@@ -88,9 +88,9 @@ class Adam(Optimizer):
     def get_state(self) -> dict:
         """Copy of the optimizer state (step clock + moment estimates).
 
-        Moments are listed in :meth:`Optimizer.parameters` order, which
-        is how data-parallel training ships them to shard workers whose
-        own optimizers were built over the same parameter ordering.
+        Moments are listed in :meth:`Optimizer.parameters` order, so
+        the state restores into any optimizer built over the same
+        parameter ordering.
         """
         return {
             "step_count": int(self._step_count),

@@ -105,15 +105,6 @@ class MinibatchIterator:
             self._epoch_seeds.extend(self._root.spawn(1))
         return self._epoch_seeds[epoch]
 
-    def _epoch_schedule(self, epoch: int):
-        """Visit order and per-chunk sampling seeds for ``epoch``."""
-        if epoch < 0:
-            raise ValueError(f"epoch must be >= 0, got {epoch}")
-        epoch_rng = np.random.default_rng(self._epoch_seed(epoch))
-        order = epoch_rng.permutation(len(self._chunks))
-        batch_seeds = spawn_seeds(epoch_rng, len(self._chunks))
-        return order, batch_seeds
-
     def epoch(self, epoch: int) -> list[Minibatch]:
         """The ordered batch list for ``epoch`` (0-based).
 
@@ -122,42 +113,11 @@ class MinibatchIterator:
         neighborhoods in a given epoch no matter where the shuffle
         placed it.
         """
-        order, batch_seeds = self._epoch_schedule(epoch)
+        if epoch < 0:
+            raise ValueError(f"epoch must be >= 0, got {epoch}")
+        epoch_rng = np.random.default_rng(self._epoch_seed(epoch))
+        order = epoch_rng.permutation(len(self._chunks))
+        batch_seeds = spawn_seeds(epoch_rng, len(self._chunks))
         return [Minibatch(self._chunks[chunk][0], self._chunks[chunk][1],
                           batch_seeds[chunk])
                 for chunk in order]
-
-    def shard_assignment(self, dp_shards: int) -> np.ndarray:
-        """Fixed chunk-id -> shard map for data-parallel training.
-
-        The assignment depends only on the chunk count and
-        ``dp_shards`` — never on the epoch or the worker count — so a
-        chunk trains on the same shard every epoch (each shard worker's
-        plan cache keeps paying off) and shard *contents* are
-        worker-count independent by construction.
-        """
-        if dp_shards < 1:
-            raise ValueError(f"dp_shards must be >= 1, got {dp_shards}")
-        assignment = np.empty(len(self._chunks), dtype=np.int64)
-        splits = np.array_split(np.arange(len(self._chunks)), dp_shards)
-        for shard, chunk_ids in enumerate(splits):
-            assignment[chunk_ids] = shard
-        return assignment
-
-    def epoch_shards(self, epoch: int,
-                     dp_shards: int) -> list[list[Minibatch]]:
-        """``epoch``'s batches partitioned into ``dp_shards`` shards.
-
-        Within each shard, batches follow the epoch shuffle order —
-        with ``dp_shards=1`` the single shard *is* :meth:`epoch`'s list
-        exactly, which is what makes single-shard data-parallel
-        training bit-identical to the serial sampled path.
-        """
-        assignment = self.shard_assignment(dp_shards)
-        order, batch_seeds = self._epoch_schedule(epoch)
-        shards: list[list[Minibatch]] = [[] for _ in range(dp_shards)]
-        for chunk in order:
-            shards[int(assignment[chunk])].append(
-                Minibatch(self._chunks[chunk][0], self._chunks[chunk][1],
-                          batch_seeds[chunk]))
-        return shards

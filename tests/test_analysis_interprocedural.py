@@ -167,27 +167,27 @@ class TestSummaries:
 class TestCallGraph:
     def test_worker_entry_detection_and_shared_param(self):
         project, taint = build({
-            "repro/distributed/a.py":
+            "repro/embeddings/a.py":
                 "from repro.parallel import ShardPool\n"
-                "from repro.distributed.b import shard_fn, init_fn\n"
+                "from repro.embeddings.b import shard_fn, init_fn\n"
                 "def run(shared):\n"
                 "    pool = ShardPool(shard_fn, workers=2,"
                 " shared=shared, init_fn=init_fn)\n"
                 "    pool.close()\n",
-            "repro/distributed/b.py":
+            "repro/embeddings/b.py":
                 "def shard_fn(task, views):\n"
                 "    return task\n"
                 "def init_fn(views, payload):\n"
                 "    return None\n",
         })
         entries = project.worker_entries
-        assert set(entries) == {"repro.distributed.b.shard_fn",
-                                "repro.distributed.b.init_fn"}
-        assert entries["repro.distributed.b.shard_fn"].shared_param == 1
-        assert entries["repro.distributed.b.init_fn"].shared_param == 0
-        assert taint.shared_params["repro.distributed.b.shard_fn"] == \
+        assert set(entries) == {"repro.embeddings.b.shard_fn",
+                                "repro.embeddings.b.init_fn"}
+        assert entries["repro.embeddings.b.shard_fn"].shared_param == 1
+        assert entries["repro.embeddings.b.init_fn"].shared_param == 0
+        assert taint.shared_params["repro.embeddings.b.shard_fn"] == \
             {"views"}
-        assert taint.shared_params["repro.distributed.b.init_fn"] == \
+        assert taint.shared_params["repro.embeddings.b.init_fn"] == \
             {"views"}
 
     def test_fork_reachability_is_transitive(self):
@@ -272,8 +272,6 @@ class TestRealRepo:
     def test_known_worker_entries_detected(self):
         project, _ = self._project()
         expected = {
-            "repro.distributed.worker.dp_train_shard",
-            "repro.distributed.worker.dp_worker_init",
             "repro.embeddings.walk_kernel.walk_shard",
             "repro.embeddings.sgns._sgns_epoch_shard",
         }
@@ -282,9 +280,9 @@ class TestRealRepo:
     def test_shared_views_params_resolved(self):
         _, taint = self._project()
         assert taint.shared_params[
-            "repro.distributed.worker.dp_train_shard"] == {"views"}
-        assert taint.shared_params[
             "repro.embeddings.walk_kernel.walk_shard"] == {"shared"}
+        assert taint.shared_params[
+            "repro.embeddings.sgns._sgns_epoch_shard"] == {"shared"}
 
     def test_serve_is_not_fork_reachable(self):
         # The serving tier runs in one process: none of its functions

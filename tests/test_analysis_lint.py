@@ -242,21 +242,18 @@ class TestRawThreading:
         assert lint_source("import threading\nimport queue\n",
                            module="repro.serve.batcher") == []
 
-    def test_distributed_package_is_exempt(self):
-        # repro.distributed is the sanctioned coordinator of the shard
-        # pool for data-parallel training — it may own concurrency
-        # primitives directly.
-        source = ("import multiprocessing\n"
-                  "import queue\n"
-                  "import threading\n")
-        assert lint_source(source,
-                           module="repro.distributed.coordinator") == []
-        assert lint_source(source,
-                           module="repro.distributed.worker") == []
+    def test_training_modules_are_not_exempt(self):
+        # Sampled training has one serial path: the trainer and its
+        # step own no concurrency primitives, threads or processes.
+        for module in ("repro.core.step", "repro.core.trainer"):
+            for statement in ("import multiprocessing", "import queue",
+                              "import threading"):
+                findings = lint_source(statement + "\n", module=module)
+                assert codes(findings) == ["RPR004"], (module, statement)
 
     def test_distributed_exemption_does_not_leak(self):
-        # The exemption is the package, not the word: training code
-        # outside repro.distributed still may not grow a pool.
+        # The exemptions are packages, not words: training code outside
+        # repro.parallel still may not grow a pool.
         for module in ("repro.core.trainer", "repro.tensor.tensor",
                        "repro.sampling.minibatch"):
             findings = lint_source("import multiprocessing\n",
@@ -321,14 +318,14 @@ class TestNondeterminism:
         assert lint_source(source, module="repro.sampling.minibatch") == []
 
     def test_distributed_flags_unseeded_rng(self):
-        # The shard partition and reduce are part of the training
-        # result: an unseeded draw would break the bit-identical-
-        # across-worker-counts contract, so RPR005 covers the package.
+        # Each batch's sampling draw is part of the training result: an
+        # unseeded draw in the step would break the bit-identical
+        # sampled fit, so RPR005 covers the module that runs it.
         assert codes(lint_source("rng = np.random.default_rng()\n",
-                                 module="repro.distributed.shard")) == \
+                                 module="repro.core.step")) == \
             ["RPR005"]
         assert lint_source("rng = np.random.default_rng(seed)\n",
-                           module="repro.distributed.shard") == []
+                           module="repro.core.step") == []
 
 
 class TestBareExcept:

@@ -1,7 +1,7 @@
 """Tests for the fused kernels and for freed buffers kept in the heap.
 
 The first training step of a process calls
-:func:`repro.distributed.shard.keep_freed_pages`, so freed buffers stay
+:func:`repro.core.step.keep_freed_pages`, so freed buffers stay
 mapped in the heap and the next ``np.empty`` of a similar size hands
 one back with whatever its last owner left in it.  Guarantees:
 
@@ -9,7 +9,7 @@ one back with whatever its last owner left in it.  Guarantees:
   the composed ops bit for bit;
 * bit identity — a training run on a heap full of freed NaN pages
   produces the *same bits* as a run before it, on every training path
-  (serial full-graph, minibatch, sampled, data-parallel shards): no
+  (full-graph, minibatch, sampled): no
   kernel reads a buffer before it writes it;
 * the ``REPRO_ANOMALY`` sanitizer still names the op that produced the
   first bad value, and stale NaN left in freed memory never becomes a
@@ -25,7 +25,7 @@ from repro.analysis import AnomalyError, detect_anomalies
 from repro.core import GrimpConfig, GrimpImputer
 from repro.corruption import inject_mcar
 from repro.data import Table
-from repro.distributed.shard import keep_freed_pages
+from repro.core.step import keep_freed_pages
 from repro.tensor import Tensor, gradcheck, layer_norm, linear
 
 
@@ -179,11 +179,6 @@ class TestBitIdentityGoldens:
     def test_sampled_finite_fanout(self):
         _assert_poisoned_heap_identical(
             dataclasses.replace(BASE, batch_size=16, fanout=3))
-
-    def test_dp_shards(self):
-        _assert_poisoned_heap_identical(
-            dataclasses.replace(BASE, epochs=2, batch_size=16, fanout=3,
-                                dp_shards=2))
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")

@@ -73,6 +73,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "model.ckpt", flag, "1"])
 
+    @pytest.mark.parametrize("flag, keyword", [
+        ("--dp-shards", "dp_shards"), ("--dp-workers", "dp_workers")])
+    def test_sampled_training_has_one_path(self, flag, keyword):
+        from repro.experiments import make_imputer
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["impute", "in.csv", "out.csv",
+                                       "--batch-size", "32", flag, "2"])
+        with pytest.raises(TypeError):
+            make_imputer("grimp-e", batch_size=32, **{keyword: 2})
+
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace"])
         assert args.dataset == "flare"

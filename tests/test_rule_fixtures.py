@@ -107,19 +107,19 @@ FIXTURES = {
              "    return multiprocessing.Process(target=worker_main,\n"
              "                                   args=(spec,))\n"),
             # Reachability crosses module boundaries.
-            {"repro/distributed/a.py":
+            {"repro/embeddings/a.py":
                 "from repro.parallel import ShardPool\n"
-                "from repro.distributed.b import shard_fn\n"
+                "from repro.embeddings.b import shard_fn\n"
                 "def run(shared):\n"
                 "    pool = ShardPool(shard_fn, workers=2,"
                 " shared=shared)\n"
                 "    pool.close()\n",
-             "repro/distributed/b.py":
+             "repro/embeddings/b.py":
                 "import threading\n"
-                "from repro.distributed.c import helper\n"
+                "from repro.embeddings.c import helper\n"
                 "def shard_fn(task, views):\n"
                 "    return helper(task)\n",
-             "repro/distributed/c.py":
+             "repro/embeddings/c.py":
                 "import threading\n"
                 "def helper(task):\n"
                 "    event = threading.Event()\n"
@@ -154,14 +154,14 @@ FIXTURES = {
              "    views['x'][0] = 1.0\n"),
             # The shared views parameter of a registered worker,
             # mutated two calls deep in another module.
-            {"repro/distributed/a.py":
+            {"repro/embeddings/a.py":
                 "from repro.parallel import parallel_map\n"
-                "from repro.distributed.b import mutate\n"
+                "from repro.embeddings.b import mutate\n"
                 "def shard(task, views):\n"
                 "    mutate(views)\n"
                 "def run(tasks):\n"
                 "    parallel_map(shard, tasks, shared={})\n",
-             "repro/distributed/b.py":
+             "repro/embeddings/b.py":
                 "def mutate(views):\n"
                 "    views['x'][:] = 0\n"},
         ],
@@ -190,7 +190,7 @@ FIXTURES = {
              "import numpy as np\n"
              "def make():\n"
              "    return np.random.default_rng(os.getpid())\n"),
-            ("repro.distributed.x",
+            ("repro.core.x",
              "import numpy as np\n"
              "def make(payload):\n"
              "    return np.random.default_rng(payload)\n"),
@@ -209,7 +209,7 @@ FIXTURES = {
              "import numpy as np\n"
              "rng = np.random.default_rng(1234)\n"),
             # A seed-named parameter is visibly threaded provenance.
-            ("repro.distributed.x",
+            ("repro.core.x",
              "import numpy as np\n"
              "def make(seed):\n"
              "    return np.random.default_rng(seed)\n"),
