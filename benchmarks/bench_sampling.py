@@ -18,10 +18,6 @@ three claims the subsystem makes:
   ``REPRO_WORKERS`` (the schedule derives from ``spawn_seeds``, never
   from the worker pool).
 
-A fanout=0 (exact-neighborhood) leg reports the subgraph plan cache's
-hit rate: stable chunk contents make every epoch after the first
-replay cached plans.
-
 Emits ``BENCH_sampling.json`` plus a schema-versioned
 ``BENCH_sampling_manifest.json`` whose flat metrics feed the CI gate
 (``scripts/check_bench_regression.py`` against
@@ -71,7 +67,7 @@ PROFILES = {
 #: training machinery (activations, plans, optimizer state) rather
 #: than a feature parameter both paths would pay identically.
 DIMS = dict(feature_dim=8, gnn_dim=32, merge_dim=32,
-            train_features=False, plan_cache_size=8)
+            train_features=False)
 
 
 def synthetic_table(n_rows: int, vocab: int, n_cat: int,
@@ -98,8 +94,7 @@ def synthetic_table(n_rows: int, vocab: int, n_cat: int,
 
 def run_variant(table: Table, *, epochs: int, seed: int,
                 batch_size: int | None = None, fanout: int | None = None,
-                error_rate: float = 0.2, measure_memory: bool = False,
-                plan_cache_size: int | None = None):
+                error_rate: float = 0.2, measure_memory: bool = False):
     """Corrupt ``table``, train, and score one configuration.
 
     Returns a report dict with timing, accuracy, the imputer's loss
@@ -109,12 +104,9 @@ def run_variant(table: Table, *, epochs: int, seed: int,
     """
     corruption = inject_mcar(table, error_rate,
                              np.random.default_rng(seed + 1))
-    dims = dict(DIMS)
-    if plan_cache_size is not None:
-        dims["plan_cache_size"] = plan_cache_size
     config = GrimpConfig(epochs=epochs, patience=epochs, lr=1e-2,
                          seed=seed, batch_size=batch_size, fanout=fanout,
-                         **dims)
+                         **DIMS)
     imputer = GrimpImputer(config)
     if measure_memory:
         tracemalloc.start()
@@ -219,20 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"deterministic rerun: {identical}   "
           f"across worker counts: {workers_identical}")
 
-    # --- plan-cache reuse under exact (fanout=0) minibatching ---------
-    # Capacity sized to the whole working set of chunk shapes: exact
-    # chunks have stable contents, so every epoch after the first (and
-    # every validate/fill pass) replays compiled plans.
-    exact = run_variant(flare, epochs=profile["parity_epochs"],
-                        seed=args.seed,
-                        batch_size=profile["batch_size"], fanout=0,
-                        error_rate=profile["error_rate"],
-                        plan_cache_size=128)
-    cache = exact["sampling_meta"]["plan_cache"]
-    hit_rate = cache["hits"] / max(1, cache["hits"] + cache["misses"])
-    print(f"fanout=0 plan cache: {cache['hits']} hits / "
-          f"{cache['misses']} misses (hit rate {hit_rate:.2f})")
-
     def strip(report: dict) -> dict:
         return {key: value for key, value in report.items()
                 if key not in ("cells", "history")}
@@ -249,19 +227,16 @@ def main(argv: list[str] | None = None) -> int:
             "full_large": strip(full_large),
             "parity_full": strip(parity_full),
             "parity_sampled": strip(parity_sampled),
-            "exact_fanout0": strip(exact),
         },
         "memory": {"budget_ratio": budget_ratio, "blowup": blowup},
         "accuracy_delta": delta,
         "deterministic": identical,
         "workers_identical": workers_identical,
-        "plan_cache_hit_rate": hit_rate,
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
 
-    # Ratios, parity, determinism bits, and the cache hit rate are
-    # machine-portable and gated; absolute peaks and wall times stay
-    # informational.
+    # Ratios, parity and determinism bits are machine-portable and
+    # gated; absolute peaks and wall times stay informational.
     metrics = {
         "mem.budget_ratio": budget_ratio,
         "mem.blowup": blowup,
@@ -273,8 +248,6 @@ def main(argv: list[str] | None = None) -> int:
         "accuracy.parity": 1.0 + delta,
         "determinism.identical": float(identical),
         "determinism.workers_identical": float(workers_identical),
-        "plan_cache.hit_rate": hit_rate,
-        "plan_cache.hits": float(cache["hits"]),
         "seconds.full_small": full_small["seconds"],
         "seconds.sampled_large": sampled_large["seconds"],
         "seconds.full_large": full_large["seconds"],

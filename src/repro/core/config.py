@@ -69,8 +69,6 @@ class GrimpConfig:
     #: per-step memory independently of table size.  Requires
     #: ``batch_size``.
     fanout: int | None = None
-    #: LRU capacity of the compiled-plan cache for sampled subgraphs.
-    plan_cache_size: int = 16
     #: GNN sub-module type for every column ("sage" or "gcn").
     gnn_layer_type: str = "sage"
     #: Training dtype: "float32" (default, ~2x faster on the dense hot
@@ -104,8 +102,6 @@ class GrimpConfig:
             if self.batch_size is None:
                 raise ValueError("fanout requires batch_size (sampled "
                                  "training is minibatched)")
-        if self.plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if self.dtype not in ("float32", "float64"):

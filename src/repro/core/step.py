@@ -25,6 +25,7 @@ import ctypes
 
 import numpy as np
 
+from ..gnn import MessagePassingPlan
 from ..tensor import Tensor, cross_entropy, focal_loss, mse_loss, no_grad
 
 __all__ = ["sampled_inputs", "batch_loss", "step", "evaluate",
@@ -61,18 +62,19 @@ def keep_freed_pages() -> None:
     mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES)
 
 
-def sampled_inputs(sampler, plan_cache, n_layers: int,
-                   feature_tensor: Tensor, indices: np.ndarray,
-                   null_index: int, rng: np.random.Generator, tracer):
-    """Sample a batch's subgraph and compile (or fetch) its operators.
+def sampled_inputs(sampler, n_layers: int, feature_tensor: Tensor,
+                   indices: np.ndarray, null_index: int,
+                   rng: np.random.Generator, tracer):
+    """Sample a batch's subgraph and compile its operators.
 
     Returns ``(operators, features, local_indices)``: the subgraph's
-    plan, the feature rows of its nodes, and ``indices`` relabeled into
-    local ids (``null_index`` -> the local zero row).  A batch that
-    references no real node (every context cell masked or missing)
-    samples nothing: its operators are ``None``, so
-    :meth:`GrimpModel.node_representations` returns the zero row alone,
-    and every index points at it.
+    plan, compiled in the features' dtype (which the sampled weights
+    already carry, so no cast runs), the feature rows of its nodes, and
+    ``indices`` relabeled into local ids (``null_index`` -> the local
+    zero row).  A batch that references no real node (every context
+    cell masked or missing) samples nothing: its operators are
+    ``None``, so :meth:`GrimpModel.node_representations` returns the
+    zero row alone, and every index points at it.
     """
     seeds = indices[indices != null_index]
     if seeds.size == 0:
@@ -81,7 +83,8 @@ def sampled_inputs(sampler, plan_cache, n_layers: int,
     with tracer.span("sample"):
         subgraph = sampler.sample(seeds, n_layers, rng)
     with tracer.span("compile"):
-        operators = plan_cache.get(subgraph)
+        operators = MessagePassingPlan(subgraph.adjacencies,
+                                       dtype=feature_tensor.dtype)
     return (operators, feature_tensor[subgraph.nodes],
             subgraph.local_indices(indices, null_index))
 

@@ -21,7 +21,7 @@ from ..graph import augment_with_fd_edges, build_table_graph
 from ..imputation import Imputer
 from ..nn import Adam, EarlyStopping
 from ..sampling import (FrozenGraph, MinibatchIterator, NeighborSampler,
-                        SubgraphPlanCache, contiguous_batches)
+                        contiguous_batches)
 from ..telemetry import Tracer
 from ..tensor import Tensor, no_grad
 from .config import GrimpConfig
@@ -125,7 +125,6 @@ class GrimpImputer(Imputer):
         self.train_seconds_: float = 0.0
         self.timings_: dict[str, dict[str, float]] = {}
         self.trace_: Tracer | None = None
-        self.plan_cache_: SubgraphPlanCache | None = None
         self._artifacts: FittedArtifacts | None = None
 
     @property
@@ -210,14 +209,11 @@ class GrimpImputer(Imputer):
                     raw_adjacencies, dtype=dtype,
                     build_backward=not use_sampling)
             sampler = None
-            self.plan_cache_: SubgraphPlanCache | None = None
             if use_sampling:
                 with tracer.span("freeze"):
                     sampler = NeighborSampler(
                         FrozenGraph.freeze(raw_adjacencies, dtype=dtype),
                         fanout=fanout)
-                    self.plan_cache_ = SubgraphPlanCache(
-                        config.plan_cache_size, dtype=dtype)
 
             encoders = TableEncoder(normalized)
             cardinalities = {column: encoders.cardinality(column)
@@ -277,7 +273,6 @@ class GrimpImputer(Imputer):
                 for kind in conversions_after}
             if use_sampling:
                 meta["sampling"]["n_batches"] = iterator.n_batches
-                meta["sampling"]["plan_cache"] = self.plan_cache_.stats()
 
             model.load_state_dict(best_state)
             self._artifacts = FittedArtifacts(
@@ -322,7 +317,9 @@ class GrimpImputer(Imputer):
                                   _parts(validation_data))])] \
             if validation_data else []
         with tracer.span("train"):
-            for epoch in range(config.epochs):
+            # A table with no observed cell has no training sample: run
+            # no epoch, so the fill leaves every cell missing.
+            for epoch in range(config.epochs if train_parts else 0):
                 model.train()
                 with tracer.span("epoch", epoch=epoch) as epoch_span:
                     if sampler is not None:
@@ -510,9 +507,8 @@ class GrimpImputer(Imputer):
             task_data = data[column]
             with tracer.span("batch"):
                 operators, features, local = sampled_inputs(
-                    sampler, self.plan_cache_, n_layers, feature_tensor,
-                    task_data.indices[rows], null_index,
-                    np.random.default_rng(seed), tracer)
+                    sampler, n_layers, feature_tensor, task_data.indices[rows],
+                    null_index, np.random.default_rng(seed), tracer)
                 loss = step(model, optimizer, operators, features,
                             [(column, local, None, task_data.targets[rows])],
                             self.config.categorical_loss, tracer)
@@ -540,9 +536,8 @@ class GrimpImputer(Imputer):
                                             self.config.batch_size):
                 (chunk_seed,) = seed_root.spawn(1)
                 yield (chunk, *sampled_inputs(
-                    sampler, self.plan_cache_, n_layers, feature_tensor,
-                    indices[chunk], null_index,
-                    np.random.default_rng(chunk_seed), silent))
+                    sampler, n_layers, feature_tensor, indices[chunk],
+                    null_index, np.random.default_rng(chunk_seed), silent))
 
         return chunks
 

@@ -63,42 +63,6 @@ class Module:
                         yield from item.named_parameters(
                             prefix=f"{full_name}.{key}.")
 
-    def named_constants(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        """Yield ``(dotted_name, tensor)`` for non-parameter tensors.
-
-        These are the fixed tensors a module computes with but never
-        trains — e.g. an attention task's ``K`` and ``m`` matrices.  They
-        are rebuilt deterministically by constructors, so checkpoints can
-        omit them; :meth:`state_dict` includes them on request so exact-
-        restore tests can compare the *complete* numeric state.
-        """
-        for name, value in vars(self).items():
-            full_name = f"{prefix}{name}"
-            if isinstance(value, Parameter):
-                continue
-            if isinstance(value, Tensor):
-                yield full_name, value
-            elif isinstance(value, Module):
-                yield from value.named_constants(prefix=f"{full_name}.")
-            elif isinstance(value, (list, tuple)):
-                for position, item in enumerate(value):
-                    if isinstance(item, Parameter):
-                        continue
-                    if isinstance(item, Tensor):
-                        yield f"{full_name}.{position}", item
-                    elif isinstance(item, Module):
-                        yield from item.named_constants(
-                            prefix=f"{full_name}.{position}.")
-            elif isinstance(value, dict):
-                for key, item in value.items():
-                    if isinstance(item, Parameter):
-                        continue
-                    if isinstance(item, Tensor):
-                        yield f"{full_name}.{key}", item
-                    elif isinstance(item, Module):
-                        yield from item.named_constants(
-                            prefix=f"{full_name}.{key}.")
-
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all submodules recursively."""
         yield self
@@ -166,20 +130,10 @@ class Module:
     # ------------------------------------------------------------------
     # State I/O (used by tests and checkpointing)
     # ------------------------------------------------------------------
-    def state_dict(self, include_constants: bool = False
-                   ) -> dict[str, np.ndarray]:
-        """Copy of every parameter keyed by dotted name.
-
-        With ``include_constants`` the non-trainable tensors discovered
-        by :meth:`named_constants` are included under a ``constant/``
-        prefix, giving the complete numeric state of the module.
-        """
-        state = {name: parameter.data.copy()
-                 for name, parameter in self.named_parameters()}
-        if include_constants:
-            for name, tensor in self.named_constants():
-                state[f"constant/{name}"] = tensor.data.copy()
-        return state
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Copy of every parameter keyed by dotted name."""
+        return {name: parameter.data.copy()
+                for name, parameter in self.named_parameters()}
 
     def save_state(self, path) -> None:
         """Persist the parameters to an ``.npz`` checkpoint file."""
@@ -192,16 +146,7 @@ class Module:
                                   for name in archive.files})
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameter values from :meth:`state_dict` output.
-
-        ``constant/``-prefixed entries (see :meth:`state_dict` with
-        ``include_constants``) are restored into the matching constant
-        tensors; constants absent from ``state`` are left as built.
-        """
-        constants = {name: value for name, value in state.items()
-                     if name.startswith("constant/")}
-        state = {name: value for name, value in state.items()
-                 if not name.startswith("constant/")}
+        """Load parameter values from :meth:`state_dict` output."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -213,19 +158,6 @@ class Module:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{parameter.data.shape} vs {state[name].shape}")
             parameter.data[...] = state[name]
-        if constants:
-            own_constants = dict(self.named_constants())
-            unexpected = {name for name in constants
-                          if name[len("constant/"):] not in own_constants}
-            if unexpected:
-                raise KeyError(f"state mismatch: "
-                               f"unexpected={sorted(unexpected)}")
-            for name, value in constants.items():
-                tensor = own_constants[name[len("constant/"):]]
-                if tensor.data.shape != value.shape:
-                    raise ValueError(f"shape mismatch for {name}: "
-                                     f"{tensor.data.shape} vs {value.shape}")
-                tensor.data[...] = value
 
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):

@@ -85,47 +85,6 @@ class Adam(Optimizer):
         self._first_moment = [np.zeros_like(p.data) for p in self.parameters]
         self._second_moment = [np.zeros_like(p.data) for p in self.parameters]
 
-    def get_state(self) -> dict:
-        """Copy of the optimizer state (step clock + moment estimates).
-
-        Moments are listed in :meth:`Optimizer.parameters` order, so
-        the state restores into any optimizer built over the same
-        parameter ordering.
-        """
-        return {
-            "step_count": int(self._step_count),
-            "first_moment": [moment.copy()
-                             for moment in self._first_moment],
-            "second_moment": [moment.copy()
-                              for moment in self._second_moment],
-        }
-
-    def set_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`get_state` (in place).
-
-        Writes into the existing moment arrays, so aliases held by
-        callers stay valid; shape mismatches (a different parameter
-        set) raise instead of silently corrupting the update.
-        """
-        first = state["first_moment"]
-        second = state["second_moment"]
-        if len(first) != len(self.parameters) or \
-                len(second) != len(self.parameters):
-            raise ValueError(
-                f"optimizer state covers {len(first)}/{len(second)} "
-                f"parameters, expected {len(self.parameters)}")
-        for target, source in zip(self._first_moment, first):
-            if target.shape != source.shape:
-                raise ValueError(f"first-moment shape mismatch: "
-                                 f"{target.shape} vs {source.shape}")
-            target[...] = source
-        for target, source in zip(self._second_moment, second):
-            if target.shape != source.shape:
-                raise ValueError(f"second-moment shape mismatch: "
-                                 f"{target.shape} vs {source.shape}")
-            target[...] = source
-        self._step_count = int(state["step_count"])
-
     def step(self) -> None:
         self._step_count += 1
         correction1 = 1.0 - self.beta1 ** self._step_count

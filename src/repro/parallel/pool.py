@@ -260,7 +260,7 @@ class ShardPool:
     times against the same read-only arrays.  A ``ShardPool`` starts its
     workers once: each attaches the shared pack, runs
     ``init_fn(views, payload)`` to build per-worker state (a model, a
-    sampler, a plan cache), and then serves ``fn(task, views, state)``
+    sampler), and then serves ``fn(task, views, state)``
     calls until :meth:`close`.
 
     Determinism contract: results are returned **in task order** no

@@ -17,19 +17,19 @@ arXiv:2210.10446, brought to the paper's RID/cell/attribute graph):
   exactly when the fanout is unbounded;
 * :class:`MinibatchIterator` — a deterministic batch schedule seeded
   via :func:`repro.parallel.spawn_seeds`: bit-identical batch order
-  for a given seed, independent of ``REPRO_WORKERS``;
-* :class:`SubgraphPlanCache` — an LRU over compiled
-  :class:`~repro.gnn.MessagePassingPlan` objects keyed on the sampled
-  subgraph's structural content, so hot shapes reuse the PR-1 plan
-  machinery instead of recompiling (transposes included) every batch.
+  for a given seed, independent of ``REPRO_WORKERS``.
 
 :mod:`repro.core.trainer` threads these together behind
-``GrimpConfig(batch_size=..., fanout=...)``.
+``GrimpConfig(batch_size=..., fanout=...)``.  Each batch goes sample ->
+compile -> step: :func:`repro.core.step.sampled_inputs` compiles the
+subgraph into a fresh :class:`~repro.gnn.MessagePassingPlan` every
+time.  A cache of compiled plans would not pay: at a finite fanout no
+batch's subgraph recurs, and at ``fanout=0`` hashing a batch to look it
+up costs about as much as compiling it.
 """
 
 from .frozen import FrozenGraph
 from .minibatch import Minibatch, MinibatchIterator, contiguous_batches
-from .plan_cache import SubgraphPlanCache
 from .sampler import NeighborSampler, SampledSubgraph
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "Minibatch",
     "MinibatchIterator",
     "contiguous_batches",
-    "SubgraphPlanCache",
 ]

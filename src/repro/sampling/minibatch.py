@@ -10,11 +10,9 @@ scheduling; every seed derives from one ``SeedSequence`` tree via
 Batch *contents* are fixed once at construction: each task's samples
 are permuted once with the schedule's partition seed and cut into
 contiguous chunks.  Epochs reshuffle only the *order* in which chunks
-are visited.  Keeping the contents stable is what makes the subgraph
-plan cache pay off — the same chunk resamples the same seed rows every
-epoch, so with an unbounded fanout its subgraph (and compiled plan)
-recurs exactly, and with a finite fanout the node set stays similar
-enough for the LRU to matter on skewed graphs.
+are visited.  The contents must stay fixed because the schedule's bits
+depend on them: which rows share a batch decides every gradient step,
+so re-cutting chunks per epoch would change every fit.
 """
 
 from __future__ import annotations

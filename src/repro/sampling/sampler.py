@@ -28,8 +28,6 @@ bounded by ``k`` per node per edge type instead of the node's degree.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 from scipy import sparse
 
@@ -48,13 +46,12 @@ class SampledSubgraph:
     :class:`~repro.gnn.MessagePassingPlan`).
     """
 
-    __slots__ = ("nodes", "adjacencies", "_signature")
+    __slots__ = ("nodes", "adjacencies")
 
     def __init__(self, nodes: np.ndarray,
                  adjacencies: dict[str, sparse.csr_matrix]):
         self.nodes = nodes
         self.adjacencies = adjacencies
-        self._signature: str | None = None
 
     @property
     def n_local(self) -> int:
@@ -82,24 +79,6 @@ class SampledSubgraph:
                              "sampled subgraph")
         out[real] = positions
         return out
-
-    def signature(self) -> str:
-        """Content hash of the local structure (plan-cache key).
-
-        Two subgraphs with identical local CSR structure compile to
-        identical planned operators regardless of which global nodes
-        they cover, so the hash deliberately excludes ``nodes``.
-        """
-        if self._signature is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(np.int64(self.n_local).tobytes())
-            for edge_type, matrix in self.adjacencies.items():
-                digest.update(edge_type.encode("utf-8"))
-                digest.update(matrix.indptr.tobytes())
-                digest.update(matrix.indices.tobytes())
-                digest.update(matrix.data.tobytes())
-            self._signature = digest.hexdigest()
-        return self._signature
 
     def __repr__(self) -> str:
         return (f"SampledSubgraph(nodes={self.n_local}, "

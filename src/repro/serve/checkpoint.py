@@ -101,7 +101,8 @@ def _config_to_json(config: GrimpConfig) -> dict:
 
 #: Config keys older version-1 manifests may carry for options that no
 #: longer exist; loading drops them.
-_RETIRED_CONFIG_KEYS = frozenset({"mp_plan", "dp_shards", "dp_workers"})
+_RETIRED_CONFIG_KEYS = frozenset({"mp_plan", "dp_shards", "dp_workers",
+                                  "plan_cache_size"})
 
 
 def _config_from_json(payload: dict) -> GrimpConfig:

@@ -2,7 +2,7 @@
 
 The registry is the *numbers* half of the telemetry subsystem (spans
 are the *time* half): monotonically increasing :class:`Counter` values
-(plan-cache hits/misses, sparse conversions, batches flushed) and
+(planned sparse products, sparse conversions, batches flushed) and
 point-in-time :class:`Gauge` values.  A process-wide default registry
 (:func:`get_registry`) is what the instrumented modules write to and
 what ``GET /metrics`` and run manifests snapshot.

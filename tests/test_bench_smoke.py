@@ -104,12 +104,11 @@ def test_smoke_sampling_bench_runs_and_emits_json(tmp_path):
     # The headline claims: a sampled fit on the 10x table stays inside
     # the full-graph 1x memory budget while full-graph training on the
     # same table blows well past it; sampled runs are bit-identical
-    # across reruns and REPRO_WORKERS; exact-fanout plans hit the LRU.
+    # across reruns and REPRO_WORKERS.
     assert metrics["mem.budget_ratio"] >= 1.0
     assert metrics["mem.blowup"] >= 5.0
     assert metrics["determinism.identical"] == 1.0
     assert metrics["determinism.workers_identical"] == 1.0
-    assert metrics["plan_cache.hits"] >= 1.0
     assert abs(metrics["accuracy.parity"] - 1.0) <= 0.01
 
 

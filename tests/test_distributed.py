@@ -6,8 +6,8 @@ and the EmbDI pre-compute stand on:
 * the one training step applies the allocator setting, and a sampled
   epoch steps every scheduled batch — even one with no real context;
 * `ShardPool` returns results in task order with per-worker
-  persistent state, `Adam` round-trips its moment state, and
-  `Tracer.record` folds externally timed work into the aggregate;
+  persistent state, and `Tracer.record` folds externally timed work
+  into the aggregate;
 * a fit reports no data-parallel phases.
 """
 
@@ -19,7 +19,6 @@ from repro.core import GrimpConfig, GrimpImputer
 from repro.core import trainer as trainer_module
 from repro.corruption import inject_mcar
 from repro.data import Table
-from repro.nn import Adam, Parameter
 from repro.parallel import (BENCH_CORES_ENV, ShardPool,
                             schedulable_cores)
 from repro.telemetry import Tracer
@@ -162,57 +161,6 @@ class TestSchedulableCores:
     def test_detects_at_least_one_core(self, monkeypatch):
         monkeypatch.delenv(BENCH_CORES_ENV, raising=False)
         assert schedulable_cores() >= 1
-
-
-# ---------------------------------------------------------------------------
-# Adam state round-trip
-# ---------------------------------------------------------------------------
-
-class TestAdamState:
-    def build(self):
-        parameters = [Parameter(np.ones((2, 3))), Parameter(np.ones(4))]
-        return Adam(parameters, lr=0.1), parameters
-
-    def test_round_trip_restores_moments_and_clock(self):
-        optimizer, parameters = self.build()
-        for parameter in parameters:
-            parameter.grad = np.full_like(parameter.data, 0.5)
-        optimizer.step()
-        optimizer.step()
-        state = optimizer.get_state()
-        assert state["step_count"] == 2
-
-        fresh, fresh_parameters = self.build()
-        fresh.set_state(state)
-        restored = fresh.get_state()
-        assert restored["step_count"] == 2
-        for left, right in zip(state["first_moment"],
-                               restored["first_moment"]):
-            np.testing.assert_array_equal(left, right)
-        for left, right in zip(state["second_moment"],
-                               restored["second_moment"]):
-            np.testing.assert_array_equal(left, right)
-
-    def test_get_state_returns_copies(self):
-        optimizer, parameters = self.build()
-        for parameter in parameters:
-            parameter.grad = np.full_like(parameter.data, 0.5)
-        optimizer.step()
-        state = optimizer.get_state()
-        state["first_moment"][0][...] = 99.0
-        assert not np.any(optimizer.get_state()["first_moment"][0] == 99.0)
-
-    def test_set_state_validates_shapes(self):
-        optimizer, _ = self.build()
-        state = optimizer.get_state()
-        state["first_moment"] = state["first_moment"][:1]
-        with pytest.raises(ValueError):
-            optimizer.set_state(state)
-        optimizer2, _ = self.build()
-        bad = optimizer2.get_state()
-        bad["second_moment"][0] = np.zeros((9, 9))
-        with pytest.raises(ValueError):
-            optimizer2.set_state(bad)
 
 
 # ---------------------------------------------------------------------------

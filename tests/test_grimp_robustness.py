@@ -90,6 +90,15 @@ class TestDegenerateSchemas:
         # "b" has no observed domain: the cell stays missing.
         assert imputed.is_missing(0, "b")
 
+    def test_table_with_no_observed_cell_is_returned_unchanged(self, path):
+        table = Table({"a": [MISSING] * 3, "b": [MISSING] * 3})
+        imputer = GrimpImputer(GrimpConfig(**TINY, **path))
+        imputed = imputer.impute(table)
+        # No observed cell means no training sample: no epoch runs and
+        # nothing is filled.
+        assert imputer.history_ == []
+        assert imputed.equals(table)
+
     def test_constant_numerical_column(self, path):
         rng = np.random.default_rng(0)
         values = [3.0] * 30

@@ -10,8 +10,7 @@ Four layers of guarantees, bottom-up:
   `REPRO_WORKERS` values, with chunk contents fixed across epochs.
 * The trainer integration holds the golden parity: a fanout-0
   minibatch reproduces full-graph forward outputs *and gradients* to
-  float64 round-off, sampled fits are deterministic end-to-end, and
-  the subgraph plan cache actually hits across epochs.
+  float64 round-off, and sampled fits are deterministic end-to-end.
 """
 
 import numpy as np
@@ -22,8 +21,7 @@ from repro.core import GrimpConfig, GrimpImputer
 from repro.corruption import inject_mcar
 from repro.data import NumericNormalizer, Table, TableEncoder
 from repro.sampling import (FrozenGraph, Minibatch, MinibatchIterator,
-                            NeighborSampler, SampledSubgraph,
-                            SubgraphPlanCache, contiguous_batches)
+                            NeighborSampler, contiguous_batches)
 
 
 def random_adjacencies(n_nodes=30, edge_types=("a", "b"), seed=0,
@@ -37,6 +35,18 @@ def random_adjacencies(n_nodes=30, edge_types=("a", "b"), seed=0,
         dense /= dense.sum(axis=1, keepdims=True)
         out[edge_type] = sparse.csr_matrix(dense)
     return out
+
+
+def same_adjacencies(first, second):
+    """Whether two subgraphs carry identical local CSR arrays."""
+    if list(first.adjacencies) != list(second.adjacencies):
+        return False
+    return all(
+        np.array_equal(left.indptr, right.indptr)
+        and np.array_equal(left.indices, right.indices)
+        and np.array_equal(left.data, right.data)
+        for left, right in zip(first.adjacencies.values(),
+                               second.adjacencies.values()))
 
 
 def structured_table(n_rows=40, seed=0):
@@ -142,10 +152,10 @@ class TestNeighborSampler:
         first = sampler.sample(seeds, 2, np.random.default_rng(42))
         second = sampler.sample(seeds, 2, np.random.default_rng(42))
         np.testing.assert_array_equal(first.nodes, second.nodes)
-        assert first.signature() == second.signature()
+        assert same_adjacencies(first, second)
         third = sampler.sample(seeds, 2, np.random.default_rng(43))
         assert (third.n_local != first.n_local
-                or third.signature() != first.signature())
+                or not same_adjacencies(first, third))
 
     def test_finite_fanout_rows_bounded_and_sum_to_one(self):
         frozen = FrozenGraph.freeze(random_adjacencies(n_nodes=40, seed=7))
@@ -199,13 +209,6 @@ class TestNeighborSampler:
             pytest.skip("one hop covered the whole graph")
         with pytest.raises(ValueError, match="outside"):
             subgraph.local_indices(np.array([[outside[0]]]), 30)
-
-    def test_signature_ignores_global_node_ids(self):
-        adjacency = {"a": sparse.eye(3, format="csr", dtype=np.float32)}
-        first = SampledSubgraph(np.array([0, 1, 2]), adjacency)
-        second = SampledSubgraph(np.array([10, 20, 30]), adjacency)
-        assert first.signature() == second.signature()
-
 
 class TestMinibatchIterator:
     def test_epoch_partitions_every_task(self):
@@ -281,37 +284,6 @@ class TestMinibatchIterator:
             list(contiguous_batches(7, 0))
 
 
-class TestSubgraphPlanCache:
-    def sample(self, seed_node, fanout=0, rng=None):
-        sampler = NeighborSampler(
-            FrozenGraph.freeze(random_adjacencies(seed=11)), fanout=fanout)
-        return sampler.sample(np.array([seed_node]), 1, rng)
-
-    def test_hits_and_misses(self):
-        cache = SubgraphPlanCache(capacity=4)
-        subgraph = self.sample(0)
-        first = cache.get(subgraph)
-        assert cache.stats() == {"hits": 0, "misses": 1, "size": 1}
-        assert cache.get(self.sample(0)) is first  # same structure
-        assert cache.stats()["hits"] == 1
-        cache.get(self.sample(5))
-        assert cache.stats() == {"hits": 1, "misses": 2, "size": 2}
-
-    def test_lru_eviction(self):
-        cache = SubgraphPlanCache(capacity=1)
-        first = self.sample(0)
-        second = self.sample(5)
-        assert first.signature() != second.signature()
-        cache.get(first)
-        cache.get(second)  # evicts first
-        cache.get(first)   # recompiles
-        assert cache.stats() == {"hits": 0, "misses": 3, "size": 1}
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError, match="capacity"):
-            SubgraphPlanCache(capacity=0)
-
-
 class TestGoldenParity:
     """fanout=0 minibatch == full graph, bit-for-bit at float64."""
 
@@ -358,6 +330,7 @@ class TestGoldenParity:
                 targets, graph.graph.n_nodes)
 
     def test_forward_and_gradient_parity(self):
+        from repro.gnn import MessagePassingPlan
         from repro.nn import Parameter
         from repro.tensor import cross_entropy
 
@@ -369,7 +342,8 @@ class TestGoldenParity:
         seeds = indices[indices != null_index]
         subgraph = sampler.sample(seeds,
                                   reference_model.shared.gnn.n_layers)
-        operators = SubgraphPlanCache(dtype=np.float64).get(subgraph)
+        operators = MessagePassingPlan(subgraph.adjacencies,
+                                       dtype=np.float64)
         local = subgraph.local_indices(indices, null_index)
 
         results = []
@@ -441,26 +415,6 @@ class TestSampledTraining:
         monkeypatch.setenv("REPRO_WORKERS", "4")
         workers_history, workers_cells = run()
         assert workers_history == history and workers_cells == cells
-
-    def test_plan_cache_hits_across_epochs_at_fanout_zero(self):
-        config = GrimpConfig(feature_dim=12, gnn_dim=16, merge_dim=16,
-                             epochs=4, patience=4, lr=1e-2, seed=0,
-                             batch_size=16, fanout=0,
-                             plan_cache_size=64)
-        imputer = GrimpImputer(config)
-        imputer.impute(self.corruption().dirty)
-        stats = imputer.timings_["meta"]["sampling"]["plan_cache"]
-        # Chunk contents are fixed across epochs and fanout=0 subgraphs
-        # are a pure function of the chunk, so epochs 2..4 (plus eval
-        # and fill reuse) must hit; misses stay bounded by the distinct
-        # chunk shapes, not epochs x batches.
-        assert stats["hits"] > stats["misses"]
-        assert stats["misses"] <= 64
-        # The meta snapshot is taken at the end of training; the fill
-        # phase afterwards only grows the live counters.
-        final = imputer.plan_cache_.stats()
-        assert final["hits"] >= stats["hits"]
-        assert final["misses"] >= stats["misses"]
 
     def test_sampled_phase_spans_recorded(self):
         imputer = GrimpImputer(SAMPLED)
@@ -534,8 +488,6 @@ class TestSampledTraining:
             GrimpConfig(fanout=2)
         with pytest.raises(ValueError, match="fanout"):
             GrimpConfig(fanout=-1, batch_size=8)
-        with pytest.raises(ValueError, match="plan_cache_size"):
-            GrimpConfig(plan_cache_size=0)
 
 
 class TestCLI:

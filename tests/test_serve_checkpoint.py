@@ -125,8 +125,7 @@ class TestRoundTrip:
             fds=(FunctionalDependency(("city",), "country"),),
             augment_fd_edges=True, categorical_loss="focal", epochs=3,
             patience=2, validation_fraction=0.3, corpus_fraction=0.5,
-            lr=0.02, batch_size=64, fanout=2, plan_cache_size=4,
-            gnn_layer_type="gcn",
+            lr=0.02, batch_size=64, fanout=2, gnn_layer_type="gcn",
             dtype="float64", seed=5, embdi_kwargs={"walks_per_node": 3})
         default = GrimpConfig()
         for field in dataclasses.fields(GrimpConfig):
@@ -230,6 +229,20 @@ class TestFormat:
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["config"]["dp_shards"] = 2
         manifest["config"]["dp_workers"] = 3
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        rows = fresh_rows()
+        assert load_imputer(path).impute_new_rows(rows).equals(
+            fitted32.impute_new_rows(rows))
+
+    def test_retired_plan_cache_size_key_is_dropped(self, fitted32,
+                                                     tmp_path):
+        """Version-1 manifests written while the sampled-subgraph plan
+        cache existed load unchanged: ``plan_cache_size`` is
+        ignored."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(fitted32, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["config"]["plan_cache_size"] = 16
         (path / "manifest.json").write_text(json.dumps(manifest))
         rows = fresh_rows()
         assert load_imputer(path).impute_new_rows(rows).equals(
