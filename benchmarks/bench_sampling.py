@@ -16,7 +16,10 @@ three claims the subsystem makes:
 * **determinism** — two runs with the same seed produce identical
   loss histories and imputations, and so does a run under a different
   ``REPRO_WORKERS`` (the schedule derives from ``spawn_seeds``, never
-  from the worker pool).
+  from the worker pool);
+* **no per-batch conversions** — the sampler hands each batch its
+  operators ready to multiply, so the sampled leg's epoch loop runs no
+  sparse-format conversion (``train_conversions.sampled``, gated at 0).
 
 Emits ``BENCH_sampling.json`` plus a schema-versioned
 ``BENCH_sampling_manifest.json`` whose flat metrics feed the CI gate
@@ -130,6 +133,7 @@ def run_variant(table: Table, *, epochs: int, seed: int,
                     for entry in imputer.history_],
         "cells": cells,
         "sampling_meta": imputer.timings_["meta"].get("sampling"),
+        "train_conversions": imputer.train_conversions_,
     }
 
 
@@ -248,6 +252,8 @@ def main(argv: list[str] | None = None) -> int:
         "accuracy.parity": 1.0 + delta,
         "determinism.identical": float(identical),
         "determinism.workers_identical": float(workers_identical),
+        "train_conversions.sampled":
+            sum(sampled_large["train_conversions"].values()),
         "seconds.full_small": full_small["seconds"],
         "seconds.sampled_large": sampled_large["seconds"],
         "seconds.full_large": full_large["seconds"],

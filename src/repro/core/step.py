@@ -25,7 +25,6 @@ import ctypes
 
 import numpy as np
 
-from ..gnn import MessagePassingPlan
 from ..tensor import Tensor, cross_entropy, focal_loss, mse_loss, no_grad
 
 __all__ = ["sampled_inputs", "batch_loss", "step", "evaluate",
@@ -64,17 +63,20 @@ def keep_freed_pages() -> None:
 
 def sampled_inputs(sampler, n_layers: int, feature_tensor: Tensor,
                    indices: np.ndarray, null_index: int,
-                   rng: np.random.Generator, tracer):
-    """Sample a batch's subgraph and compile its operators.
+                   rng: np.random.Generator, tracer,
+                   build_backward: bool = True):
+    """Sample a batch's subgraph and assemble its operators.
 
     Returns ``(operators, features, local_indices)``: the subgraph's
-    plan, compiled in the features' dtype (which the sampled weights
-    already carry, so no cast runs), the feature rows of its nodes, and
+    plan (in the sampled weights' dtype, which the frozen graph shares
+    with the features), the feature rows of its nodes, and
     ``indices`` relabeled into local ids (``null_index`` -> the local
-    zero row).  A batch that references no real node (every context
-    cell masked or missing) samples nothing: its operators are
-    ``None``, so :meth:`GrimpModel.node_representations` returns the
-    zero row alone, and every index points at it.
+    zero row).  Pass ``build_backward=False`` for batches that run
+    under ``no_grad`` (validation, fill): their transposes are never
+    multiplied by, so they stay lazy.  A batch that references no real
+    node (every context cell masked or missing) samples nothing: its
+    operators are ``None``, so :meth:`GrimpModel.node_representations`
+    returns the zero row alone, and every index points at it.
     """
     seeds = indices[indices != null_index]
     if seeds.size == 0:
@@ -83,8 +85,7 @@ def sampled_inputs(sampler, n_layers: int, feature_tensor: Tensor,
     with tracer.span("sample"):
         subgraph = sampler.sample(seeds, n_layers, rng)
     with tracer.span("compile"):
-        operators = MessagePassingPlan(subgraph.adjacencies,
-                                       dtype=feature_tensor.dtype)
+        operators = subgraph.compile(build_backward)
     return (operators, feature_tensor[subgraph.nodes],
             subgraph.local_indices(indices, null_index))
 

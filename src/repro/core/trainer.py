@@ -379,9 +379,12 @@ class GrimpImputer(Imputer):
 
     @property
     def train_conversions_(self) -> dict[str, int]:
-        """Sparse-format conversions that ran inside the last epoch loop
-        (``{"tocsr": 0, "transpose": 0}``: the plan compiles every
-        operator before the loop)."""
+        """Sparse-format conversions that ran inside the last epoch loop.
+
+        ``{"tocsr": 0, "transpose": 0}`` on both training paths: the
+        full-graph plan compiles every operator before the loop, and
+        the sampler assembles each batch's operators (and, for
+        training batches, their transposes) without a conversion."""
         meta = self.timings_.get("meta", {})
         return dict(meta.get("train_conversions", {}))
 
@@ -537,7 +540,8 @@ class GrimpImputer(Imputer):
                 (chunk_seed,) = seed_root.spawn(1)
                 yield (chunk, *sampled_inputs(
                     sampler, n_layers, feature_tensor, indices[chunk],
-                    null_index, np.random.default_rng(chunk_seed), silent))
+                    null_index, np.random.default_rng(chunk_seed), silent,
+                    build_backward=False))
 
         return chunks
 

@@ -15,6 +15,10 @@ constant sparse operator exactly once per fit:
   training-vector gather, replacing fancy indexing whose backward
   relied on the slow ``np.add.at`` scatter.
 
+Sampled minibatches do not compile here: the sampler builds each
+batch's CSR pairs itself (:meth:`repro.sampling.SampledSubgraph.compile`)
+and wraps them with :meth:`MessagePassingPlan.from_operators`.
+
 Format conversions are counted in :data:`CONVERSION_COUNTS` so tests and
 the profiler can assert that none happen inside the epoch loop.
 """
@@ -202,7 +206,8 @@ class MessagePassingPlan(Mapping):
     @classmethod
     def from_operators(cls, operators: dict[str, PlannedOperator],
                        dtype=None) -> "MessagePassingPlan":
-        """Wrap already-compiled operators (checkpoint restore path).
+        """Wrap already-compiled operators (checkpoint restore, sampled
+        batches).
 
         No conversion or copy happens; the operators keep whatever dtype
         they were compiled with, which is what makes reloaded inference

@@ -21,11 +21,12 @@ arXiv:2210.10446, brought to the paper's RID/cell/attribute graph):
 
 :mod:`repro.core.trainer` threads these together behind
 ``GrimpConfig(batch_size=..., fanout=...)``.  Each batch goes sample ->
-compile -> step: :func:`repro.core.step.sampled_inputs` compiles the
-subgraph into a fresh :class:`~repro.gnn.MessagePassingPlan` every
-time.  A cache of compiled plans would not pay: at a finite fanout no
-batch's subgraph recurs, and at ``fanout=0`` hashing a batch to look it
-up costs about as much as compiling it.
+compile -> step: :func:`repro.core.step.sampled_inputs` draws the
+subgraph, then :meth:`SampledSubgraph.compile` assembles every edge
+type's CSR operator (and, for training batches, its transpose) in one
+vectorized pass, straight into the
+:class:`~repro.gnn.MessagePassingPlan` the step multiplies by — no
+scipy format conversion per batch.
 """
 
 from .frozen import FrozenGraph

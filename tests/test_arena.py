@@ -172,7 +172,7 @@ class TestBitIdentityGoldens:
             dataclasses.replace(BASE, batch_size=16))
 
     def test_sampled(self):
-        # fanout=0 keeps whole neighborhoods, so subgraph plans recur.
+        # fanout=0 spelled out: whole neighborhoods, no draws.
         _assert_poisoned_heap_identical(
             dataclasses.replace(BASE, batch_size=16, fanout=0))
 

@@ -5,7 +5,9 @@ Four layers of guarantees, bottom-up:
 * `FrozenGraph` snapshots are faithful (rows match the scipy matrices,
   search keys stay float64 and sorted, shared-memory round-trip).
 * `NeighborSampler` is exact at fanout 0 (full-graph rows verbatim)
-  and a bounded, deterministic, unbiased estimator at finite fanouts.
+  and a bounded, deterministic, unbiased estimator at finite fanouts;
+  the operators it assembles equal scipy's COO -> CSR build array for
+  array.
 * The minibatch schedule is bit-identical across runs and
   `REPRO_WORKERS` values, with chunk contents fixed across epochs.
 * The trainer integration holds the golden parity: a fanout-0
@@ -37,16 +39,29 @@ def random_adjacencies(n_nodes=30, edge_types=("a", "b"), seed=0,
     return out
 
 
+def forward_operators(subgraph):
+    """Each edge type's local forward CSR of a sampled subgraph."""
+    return {edge_type: operator.forward
+            for edge_type, operator in subgraph.compile().items()}
+
+
+def same_csr(left, right):
+    """Whether two CSR matrices carry identical arrays and dtypes."""
+    return (np.array_equal(left.indptr, right.indptr)
+            and np.array_equal(left.indices, right.indices)
+            and np.array_equal(left.data, right.data)
+            and left.data.dtype == right.data.dtype
+            and left.indices.dtype == right.indices.dtype
+            and left.indptr.dtype == right.indptr.dtype)
+
+
 def same_adjacencies(first, second):
     """Whether two subgraphs carry identical local CSR arrays."""
-    if list(first.adjacencies) != list(second.adjacencies):
+    left, right = forward_operators(first), forward_operators(second)
+    if list(left) != list(right):
         return False
-    return all(
-        np.array_equal(left.indptr, right.indptr)
-        and np.array_equal(left.indices, right.indices)
-        and np.array_equal(left.data, right.data)
-        for left, right in zip(first.adjacencies.values(),
-                               second.adjacencies.values()))
+    return all(same_csr(left[edge_type], right[edge_type])
+               for edge_type in left)
 
 
 def structured_table(n_rows=40, seed=0):
@@ -121,10 +136,11 @@ class TestNeighborSampler:
         subgraph = sampler.sample(np.array([0, 7, 19]), n_hops=2)
         nodes = subgraph.nodes
         assert np.all(np.diff(nodes) > 0)  # sorted, unique
+        operators = forward_operators(subgraph)
         # Every materialized (non-empty) local row must equal the
         # global row verbatim: same neighbors, same normalized weights.
         for edge_type, matrix in adjacencies.items():
-            local = subgraph.adjacencies[edge_type]
+            local = operators[edge_type]
             for position in range(subgraph.n_local):
                 row = local.getrow(position)
                 if row.nnz == 0:
@@ -141,7 +157,7 @@ class TestNeighborSampler:
         seeds = np.array([2, 11])
         subgraph = sampler.sample(seeds, n_hops=2)
         local_seeds = np.searchsorted(subgraph.nodes, seeds)
-        for matrix in subgraph.adjacencies.values():
+        for matrix in forward_operators(subgraph).values():
             for position in local_seeds:
                 assert matrix.getrow(int(position)).nnz > 0
 
@@ -163,7 +179,7 @@ class TestNeighborSampler:
         sampler = NeighborSampler(frozen, fanout=k)
         subgraph = sampler.sample(np.arange(6), 2,
                                   np.random.default_rng(0))
-        for matrix in subgraph.adjacencies.values():
+        for matrix in forward_operators(subgraph).values():
             counts = np.diff(matrix.indptr)
             assert counts.max() <= k  # duplicates can only merge
             sums = np.asarray(matrix.sum(axis=1)).reshape(-1)
@@ -209,6 +225,115 @@ class TestNeighborSampler:
             pytest.skip("one hop covered the whole graph")
         with pytest.raises(ValueError, match="outside"):
             subgraph.local_indices(np.array([[outside[0]]]), 30)
+
+
+def scipy_reference(sampler, seeds, n_hops, rng):
+    """The sampled operators as scipy's COO -> CSR build makes them.
+
+    Replays the sampler's draws (same ``_rows`` calls in the same
+    order, so the same rng stream) with set operations for the
+    frontier, then builds each edge type with ``coo_matrix(...)
+    .tocsr()`` + ``sum_duplicates()`` and its transpose with
+    ``.T.tocsr()``.  Returns ``(nodes, {edge type: (forward,
+    backward)})``.
+    """
+    frozen = sampler.frozen
+    blocks = {edge_type: [] for edge_type in frozen.edge_types}
+    known = frontier = np.unique(seeds)
+    for _hop in range(n_hops):
+        if frontier.size == 0:
+            break
+        discovered = []
+        for edge_type in frozen.edge_types:
+            rows, cols, vals = sampler._rows(edge_type, frontier, rng)
+            if rows.size:
+                blocks[edge_type].append((rows, cols, vals))
+                discovered.append(cols)
+        if not discovered:
+            break
+        frontier = np.setdiff1d(np.unique(np.concatenate(discovered)),
+                                known, assume_unique=True)
+        known = np.union1d(known, frontier)
+    s = known.shape[0]
+    operators = {}
+    for edge_type, parts in blocks.items():
+        if parts:
+            rows, cols, vals = (np.concatenate(field)
+                                for field in zip(*parts))
+            forward = sparse.coo_matrix(
+                (vals, (np.searchsorted(known, rows),
+                        np.searchsorted(known, cols))),
+                shape=(s, s)).tocsr()
+            forward.sum_duplicates()
+        else:
+            forward = sparse.csr_matrix(
+                (s, s), dtype=frozen.csr[edge_type][2].dtype)
+        operators[edge_type] = (forward, forward.T.tocsr())
+    return known, operators
+
+
+def oracle_adjacencies(dtype):
+    """Sparse random rows (so small fanouts draw duplicates), plus an
+    edge type with no entries at all."""
+    adjacencies = random_adjacencies(n_nodes=40, edge_types=("a", "b"),
+                                     seed=11, dtype=dtype)
+    adjacencies["empty"] = sparse.csr_matrix((40, 40), dtype=dtype)
+    return adjacencies
+
+
+class TestOperatorOracle:
+    """The sampler's one-pass operators equal scipy's build exactly:
+    same ``indptr``, ``indices`` and ``data``, same dtypes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fanout", [0, 1, 2, 5, 9])
+    def test_matches_scipy_build(self, fanout, dtype):
+        sampler = NeighborSampler(
+            FrozenGraph.freeze(oracle_adjacencies(dtype), dtype=dtype),
+            fanout=fanout)
+        merged = 0
+        for trial in range(4):
+            seeds = np.random.default_rng(trial).choice(40, 3,
+                                                        replace=False)
+            nodes, reference = scipy_reference(
+                sampler, seeds, 2, np.random.default_rng(trial))
+            subgraph = sampler.sample(seeds, 2,
+                                      np.random.default_rng(trial))
+            np.testing.assert_array_equal(subgraph.nodes, nodes)
+            plan = subgraph.compile()
+            assert plan.dtype == dtype
+            for edge_type, (forward, backward) in reference.items():
+                operator = plan[edge_type]
+                assert operator.has_backward
+                assert same_csr(operator.forward, forward)
+                assert same_csr(operator.backward, backward)
+            assert plan["empty"].forward.nnz == 0
+            # Nodes first found on the last hop keep empty rows.
+            occupied = sum(np.diff(operator.forward.indptr) > 0
+                           for operator in plan.values())
+            assert np.any(occupied == 0)
+            if fanout:
+                merged += sum(int(np.sum(operator.forward.data
+                                         > 1.5 / fanout))
+                              for operator in plan.values())
+        if fanout >= 2:
+            assert merged > 0  # some duplicate draws were merged
+
+    @pytest.mark.parametrize("fanout", [0, 2])
+    def test_eval_operators_build_transposes_lazily(self, fanout):
+        sampler = NeighborSampler(
+            FrozenGraph.freeze(oracle_adjacencies(np.float32),
+                               dtype=np.float32), fanout=fanout)
+        seeds = np.array([1, 5, 22])
+        eager = sampler.sample(seeds, 2, np.random.default_rng(3)) \
+            .compile()
+        lazy = sampler.sample(seeds, 2, np.random.default_rng(3)) \
+            .compile(build_backward=False)
+        for edge_type, operator in lazy.items():
+            assert not operator.has_backward
+            assert same_csr(operator.forward, eager[edge_type].forward)
+            assert same_csr(operator.backward, eager[edge_type].backward)
+
 
 class TestMinibatchIterator:
     def test_epoch_partitions_every_task(self):
@@ -285,7 +410,17 @@ class TestMinibatchIterator:
 
 
 class TestGoldenParity:
-    """fanout=0 minibatch == full graph, bit-for-bit at float64."""
+    """fanout=0 minibatch == full graph at float64.
+
+    Sampled rows hold their entries in ascending column order.  Against
+    full-graph operators in that same order, the minibatch forward
+    (vectors, loss) and backward (every parameter and feature gradient)
+    are bit-for-bit equal.  The fit's own plan keeps the graph
+    builder's column order within each row, so its row sums add the
+    same terms in another order: there, vectors, loss and gradients
+    agree to about one ulp (a few 1e-18 on this problem), checked at
+    ``atol=1e-12`` for the forward and ``atol=1e-10`` for gradients.
+    """
 
     def setup_problem(self):
         from repro.core.corpus import build_training_corpus, split_corpus
@@ -342,12 +477,15 @@ class TestGoldenParity:
         seeds = indices[indices != null_index]
         subgraph = sampler.sample(seeds,
                                   reference_model.shared.gnn.n_layers)
-        operators = MessagePassingPlan(subgraph.adjacencies,
-                                       dtype=np.float64)
+        operators = subgraph.compile()
         local = subgraph.local_indices(indices, null_index)
 
-        results = []
-        for use_subgraph in (False, True):
+        canonical = MessagePassingPlan(
+            {edge_type: matrix.sorted_indices()
+             for edge_type, matrix in adjacencies.items()},
+            dtype=np.float64)
+
+        def run(operators, use_subgraph):
             model = build_model()
             feature_parameter = Parameter(
                 features.node_vectors.astype(np.float64))
@@ -356,18 +494,27 @@ class TestGoldenParity:
                     operators, feature_parameter[subgraph.nodes])
                 vectors = model.training_vectors(h, local)
             else:
-                h = model.node_representations(plan, feature_parameter)
+                h = model.node_representations(operators, feature_parameter)
                 vectors = model.training_vectors(h, indices)
             loss = cross_entropy(model.task_output("city", vectors),
                                  targets)
             loss.backward()
-            results.append((vectors.data.copy(), loss.item(),
-                            [None if p.grad is None else p.grad.copy()
-                             for p in model.parameters()],
-                            feature_parameter.grad.copy()))
+            return (vectors.data.copy(), loss.item(),
+                    [None if p.grad is None else p.grad.copy()
+                     for p in model.parameters()]
+                    + [feature_parameter.grad.copy()])
 
-        (full_vectors, full_loss, full_grads, full_fgrad), \
-            (sub_vectors, sub_loss, sub_grads, sub_fgrad) = results
+        sub_vectors, sub_loss, sub_grads = run(operators, True)
+        exact_vectors, exact_loss, exact_grads = run(canonical, False)
+        np.testing.assert_array_equal(sub_vectors, exact_vectors)
+        assert sub_loss == exact_loss
+        for exact_grad, sub_grad in zip(exact_grads, sub_grads):
+            if exact_grad is None:
+                assert sub_grad is None or np.abs(sub_grad).max() == 0.0
+            else:
+                np.testing.assert_array_equal(sub_grad, exact_grad)
+
+        full_vectors, full_loss, full_grads = run(plan, False)
         np.testing.assert_allclose(sub_vectors, full_vectors, rtol=0,
                                    atol=1e-12)
         assert sub_loss == pytest.approx(full_loss, abs=1e-12)
@@ -377,8 +524,6 @@ class TestGoldenParity:
                 continue
             np.testing.assert_allclose(sub_grad, full_grad, rtol=0,
                                        atol=1e-10)
-        np.testing.assert_allclose(sub_fgrad, full_fgrad, rtol=0,
-                                   atol=1e-10)
 
 
 SAMPLED = GrimpConfig(feature_dim=12, gnn_dim=16, merge_dim=16, epochs=8,

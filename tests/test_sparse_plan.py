@@ -157,3 +157,16 @@ class TestZeroConversionsInEpochLoop:
         imputer = GrimpImputer(GrimpConfig(epochs=2, patience=2, seed=0))
         imputer.impute(corruption.dirty)
         assert imputer.train_conversions_ == {"tocsr": 0, "transpose": 0}
+
+    @pytest.mark.parametrize("fanout", [2, 0])
+    def test_sampled_training_performs_no_conversions(self, fanout):
+        # Sampled batches come out of the sampler as planned operators:
+        # no per-batch tocsr, and transposes only where gradients flow,
+        # built without a scipy conversion.
+        clean = load("adult", n_rows=40, seed=0)
+        corruption = inject_mcar(clean, 0.2, np.random.default_rng(1))
+        imputer = GrimpImputer(GrimpConfig(epochs=2, patience=2, seed=0,
+                                           batch_size=16, fanout=fanout))
+        imputer.impute(corruption.dirty)
+        assert imputer.timings_["meta"]["sampling"]["n_batches"] > 1
+        assert imputer.train_conversions_ == {"tocsr": 0, "transpose": 0}
