@@ -8,16 +8,12 @@ ways on the same corrupted dataset:
   extraction, ``rng.choice(p=noise)`` negative sampling, full
   ``(vocab, dim)`` ``np.add.at`` scatters, and hard-coded float64
   (reproduced inline below);
-* ``vec64``      — the batched CSR kernel + alias/bincount SGNS at
-  ``workers=1`` under float64 (pure vectorization, same precision);
+* ``vec64``      — the batched CSR kernel + alias/bincount SGNS under
+  float64 (pure vectorization, same precision);
 * ``vec32``      — the same at the engine's training default dtype,
   float32 (what production fits actually run; the seed path ignored
   the configured dtype, which is what the RPR001 scope widening
-  fixed) — this is the gated headline speedup;
-* ``workers4``   — the float32 kernels scheduled across 4 worker
-  processes (bit-identical output to ``vec32``; the wall-clock win
-  depends on the runner's core count, so CI treats it as
-  informational).
+  fixed) — this is the gated headline speedup.
 
 A fourth measurement reruns the ``vectorized`` fit against a warm
 content-hash cache, which must skip the pre-compute entirely.
@@ -220,24 +216,21 @@ def run_seed(profile: dict, corruption, seed: int) -> tuple[dict, float]:
     return timings, nn_impute_accuracy(embedder, corruption)
 
 
-def run_kernel(profile: dict, corruption, seed: int, workers: int,
+def run_kernel(profile: dict, corruption, seed: int,
                dtype: str = "float32",
-               cache_dir: str | None = None) -> tuple[dict, float,
-                                                      EmbdiEmbedder]:
-    """Time the kernel path at a worker count and engine dtype."""
+               cache_dir: str | None = None) -> tuple[dict, float]:
+    """Time the kernel path at an engine dtype."""
     dirty = corruption.dirty
     embedder = EmbdiEmbedder(
         dim=profile["dim"], walks_per_node=profile["walks_per_node"],
         walk_length=profile["walk_length"], window=profile["window"],
-        epochs=profile["epochs"], seed=seed, workers=workers,
-        cache_dir=cache_dir)
+        epochs=profile["epochs"], seed=seed, cache_dir=cache_dir)
     with default_dtype(dtype):
         t0 = time.perf_counter()
         embedder.fit(dirty)
         t1 = time.perf_counter()
-    timings = {"total_seconds": t1 - t0, "workers": workers,
-               "dtype": dtype}
-    return timings, nn_impute_accuracy(embedder, corruption), embedder
+    timings = {"total_seconds": t1 - t0, "dtype": dtype}
+    return timings, nn_impute_accuracy(embedder, corruption)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -248,8 +241,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="output JSON path (default: BENCH_embed.json "
                              "in the repository root)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=4,
-                        help="worker count for the pooled variant")
     args = parser.parse_args(argv)
 
     profile_name = "smoke" if args.smoke else "full"
@@ -266,31 +257,20 @@ def main(argv: list[str] | None = None) -> int:
     print(f"seed      total={seed_timings['total_seconds'] * 1e3:8.1f} ms"
           f"  acc={seed_accuracy:.3f}")
 
-    vec64_timings, vec64_accuracy, _ = run_kernel(
-        profile, corruption, args.seed, workers=1, dtype="float64")
+    vec64_timings, vec64_accuracy = run_kernel(
+        profile, corruption, args.seed, dtype="float64")
     print(f"vec64     total={vec64_timings['total_seconds'] * 1e3:8.1f} ms"
           f"  acc={vec64_accuracy:.3f}")
 
-    vec_timings, vec_accuracy, serial_embedder = run_kernel(
-        profile, corruption, args.seed, workers=1)
+    vec_timings, vec_accuracy = run_kernel(profile, corruption, args.seed)
     print(f"vec32     total={vec_timings['total_seconds'] * 1e3:8.1f} ms"
           f"  acc={vec_accuracy:.3f}")
 
-    pool_timings, pool_accuracy, pool_embedder = run_kernel(
-        profile, corruption, args.seed, workers=args.workers)
-    print(f"workers{args.workers}  "
-          f"total={pool_timings['total_seconds'] * 1e3:8.1f} ms"
-          f"  acc={pool_accuracy:.3f}")
-
-    # Pooled and serial kernels must agree bit-for-bit.
-    identical = bool(np.array_equal(serial_embedder.node_vectors(),
-                                    pool_embedder.node_vectors()))
-
     with tempfile.TemporaryDirectory() as cache_dir:
-        cold_timings, _, _ = run_kernel(profile, corruption, args.seed,
-                                        workers=1, cache_dir=cache_dir)
-        warm_timings, warm_accuracy, _ = run_kernel(
-            profile, corruption, args.seed, workers=1, cache_dir=cache_dir)
+        cold_timings, _ = run_kernel(profile, corruption, args.seed,
+                                     cache_dir=cache_dir)
+        warm_timings, warm_accuracy = run_kernel(
+            profile, corruption, args.seed, cache_dir=cache_dir)
     cache_hits = get_registry().counter("embed.cache.hits").value
     cache_speedup = cold_timings["total_seconds"] / \
         max(warm_timings["total_seconds"], 1e-9)
@@ -307,8 +287,6 @@ def main(argv: list[str] | None = None) -> int:
             "seed": {**seed_timings, "accuracy": seed_accuracy},
             "vec64": {**vec64_timings, "accuracy": vec64_accuracy},
             "vec32": {**vec_timings, "accuracy": vec_accuracy},
-            f"workers{args.workers}": {**pool_timings,
-                                       "accuracy": pool_accuracy},
             "cache_cold": cold_timings,
             "cache_warm": {**warm_timings, "accuracy": warm_accuracy},
         },
@@ -317,52 +295,39 @@ def main(argv: list[str] | None = None) -> int:
             / max(vec64_timings["total_seconds"], 1e-9),
             "vec32": seed_timings["total_seconds"]
             / max(vec_timings["total_seconds"], 1e-9),
-            f"workers{args.workers}": seed_timings["total_seconds"]
-            / max(pool_timings["total_seconds"], 1e-9),
             "cache": cache_speedup,
         },
-        "workers_identical_to_serial": identical,
         "accuracy_delta_vs_seed": {
             "vec64": vec64_accuracy - seed_accuracy,
             "vec32": vec_accuracy - seed_accuracy,
-            f"workers{args.workers}": pool_accuracy - seed_accuracy,
         },
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
 
     # Ratios and accuracy are machine-portable and gated; absolute wall
-    # times and the pooled-variant speedup (which tracks the runner's
-    # core count) stay informational.
+    # times stay informational.
     metrics = {
         "speedup.vec64": report["speedup"]["vec64"],
         "speedup.vec32": report["speedup"]["vec32"],
-        "speedup.workers4": report["speedup"][f"workers{args.workers}"],
         "speedup.cache": cache_speedup,
         "cache.hits": float(cache_hits),
         "accuracy.seed": seed_accuracy,
         "accuracy.vec64": vec64_accuracy,
         "accuracy.vec32": vec_accuracy,
-        "accuracy.workers4": pool_accuracy,
-        "workers_identical": float(identical),
         "total_ms.seed": seed_timings["total_seconds"] * 1e3,
         "total_ms.vec64": vec64_timings["total_seconds"] * 1e3,
         "total_ms.vec32": vec_timings["total_seconds"] * 1e3,
-        "total_ms.workers4": pool_timings["total_seconds"] * 1e3,
         "total_ms.cache_warm": warm_timings["total_seconds"] * 1e3,
     }
     manifest_path = out_path.with_name(out_path.stem + "_manifest.json")
     write_manifest(build_manifest(
         {"kind": "bench", "benchmark": "embed",
-         "profile": profile_name, "seed": args.seed,
-         "workers": args.workers},
+         "profile": profile_name, "seed": args.seed},
         metrics=metrics), manifest_path)
 
     print(f"\nspeedup   vec64={report['speedup']['vec64']:.2f}x"
           f"  vec32={report['speedup']['vec32']:.2f}x"
-          f"  workers{args.workers}="
-          f"{report['speedup'][f'workers{args.workers}']:.2f}x"
           f"  cache={cache_speedup:.1f}x")
-    print(f"identical across worker counts: {identical}")
     print(f"wrote {out_path}")
     print(f"wrote {manifest_path}")
     return 0

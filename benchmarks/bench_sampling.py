@@ -14,9 +14,8 @@ three claims the subsystem makes:
   ``accuracy.parity`` = 1 + sampled - full, so a drop beyond the
   tolerance fails while "sampled happens to win" passes);
 * **determinism** — two runs with the same seed produce identical
-  loss histories and imputations, and so does a run under a different
-  ``REPRO_WORKERS`` (the schedule derives from ``spawn_seeds``, never
-  from the worker pool);
+  loss histories and imputations (the schedule derives from
+  ``spawn_seeds``);
 * **no per-batch conversions** — the sampler hands each batch its
   operators ready to multiply, so the sampled leg's epoch loop runs no
   sparse-format conversion (``train_conversions.sampled``, gated at 0).
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -50,7 +48,6 @@ from repro.corruption import inject_mcar
 from repro.core import GrimpConfig, GrimpImputer
 from repro.data import Table
 from repro.datasets import load
-from repro.parallel import WORKERS_ENV
 from repro.telemetry import build_manifest, write_manifest
 
 #: How much larger the sampled table is than the full-graph reference.
@@ -195,25 +192,12 @@ def main(argv: list[str] | None = None) -> int:
           f"sampled acc={parity_sampled['accuracy']:.3f}  "
           f"delta={delta:+.3f}")
 
-    # --- determinism: same seed, and a different REPRO_WORKERS --------
+    # --- determinism: same seed -------------------------------------
     repeat = run_variant(flare, epochs=profile["parity_epochs"],
                          seed=args.seed, **sampled)
-    saved = os.environ.get(WORKERS_ENV)
-    os.environ[WORKERS_ENV] = "4"
-    try:
-        workers4 = run_variant(flare, epochs=profile["parity_epochs"],
-                               seed=args.seed, **sampled)
-    finally:
-        if saved is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = saved
     identical = parity_sampled["history"] == repeat["history"] \
         and parity_sampled["cells"] == repeat["cells"]
-    workers_identical = parity_sampled["history"] == workers4["history"] \
-        and parity_sampled["cells"] == workers4["cells"]
-    print(f"deterministic rerun: {identical}   "
-          f"across worker counts: {workers_identical}")
+    print(f"deterministic rerun: {identical}")
 
     def strip(report: dict) -> dict:
         return {key: value for key, value in report.items()
@@ -235,7 +219,6 @@ def main(argv: list[str] | None = None) -> int:
         "memory": {"budget_ratio": budget_ratio, "blowup": blowup},
         "accuracy_delta": delta,
         "deterministic": identical,
-        "workers_identical": workers_identical,
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -251,7 +234,6 @@ def main(argv: list[str] | None = None) -> int:
         "accuracy.sampled": parity_sampled["accuracy"],
         "accuracy.parity": 1.0 + delta,
         "determinism.identical": float(identical),
-        "determinism.workers_identical": float(workers_identical),
         "train_conversions.sampled":
             sum(sampled_large["train_conversions"].values()),
         "seconds.full_small": full_small["seconds"],

@@ -226,7 +226,7 @@ class RawThreading(Rule):
         "— lives in repro.parallel (pools). "
         "Threading or multiprocessing sprinkled through model or data "
         "code cannot be audited against those rules — other packages "
-        "describe shards and hand them to repro.parallel.parallel_map "
+        "describe shards and hand them to repro.parallel.ShardPool "
         "(repro.sampling is the template: its minibatch schedule takes "
         "seeds from repro.parallel.spawn_seeds but owns no pool, which "
         "is exactly why its batch order is worker-count independent). "

@@ -19,8 +19,8 @@ Examples
     python -m repro corrupt clean.csv dirty.csv --fraction 0.2
     python -m repro impute dirty.csv imputed.csv --algorithm grimp-ft \\
         --dtype float32 --checkpoint model.ckpt
-    python -m repro impute dirty.csv imputed.csv --algorithm grimp-ft \\
-        --workers 4 --embed-cache .embed-cache
+    python -m repro impute dirty.csv imputed.csv --algorithm grimp-e \\
+        --embed-cache .embed-cache
     python -m repro evaluate clean.csv dirty.csv imputed.csv
     python -m repro serve model.ckpt --port 8080
     python -m repro trace --dataset flare --epochs 3 --events trace.jsonl
@@ -85,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="after fitting, save the model to this "
                              "checkpoint directory (grimp-* only; "
                              "serve it with `repro serve`)")
-    impute.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the embedding "
-                             "pre-compute (default: $REPRO_WORKERS or 1; "
-                             "results are identical for every count)")
     impute.add_argument("--embed-cache", default=None, metavar="DIR",
                         help="content-hash cache directory for "
                              "pre-computed embeddings (default: "
@@ -204,13 +200,9 @@ def _command_impute(args) -> int:
         print(f"error: --checkpoint requires a grimp-* algorithm, "
               f"not {args.algorithm!r}", file=sys.stderr)
         return 2
-    # Both knobs flow through the environment so every embedding layer
-    # (features -> EmbdiEmbedder -> parallel_map) picks them up without
-    # new plumbing through make_imputer.
-    if args.workers is not None:
-        from .parallel import WORKERS_ENV, resolve_workers
-        resolve_workers(args.workers)  # fail fast on bad counts
-        os.environ[WORKERS_ENV] = str(args.workers)
+    # The cache directory flows through the environment so the embedding
+    # layer (features -> EmbdiEmbedder) picks it up without new plumbing
+    # through make_imputer.
     if args.embed_cache is not None:
         from .embeddings import CACHE_ENV
         os.environ[CACHE_ENV] = args.embed_cache

@@ -255,8 +255,7 @@ class GrimpImputer(Imputer):
             iterator = None
             if use_sampling:
                 # Scheduling derives every seed from one SeedSequence
-                # tree — bit-identical batches for a given config.seed,
-                # independent of REPRO_WORKERS (no pool is involved).
+                # tree — bit-identical batches for a given config.seed.
                 iterator = MinibatchIterator(
                     [train_data[column].n for column in train_data],
                     config.batch_size,

@@ -36,12 +36,6 @@ class EmbdiEmbedder:
         SGNS training parameters.
     null_extension:
         Enable the paper's weighted possible-imputation edges.
-    workers:
-        Worker count for the walk/SGNS pre-compute (``None`` defers to
-        ``REPRO_WORKERS``; results are identical for every value).
-    sgns_shards:
-        Data-parallel shard count for SGNS epochs (1 = classic serial
-        epochs; the result depends on this, not on ``workers``).
     cache_dir:
         Embedding-cache directory (``None`` defers to
         ``REPRO_EMBED_CACHE``; unset disables caching).
@@ -50,8 +44,11 @@ class EmbdiEmbedder:
     def __init__(self, dim: int = 32, walks_per_node: int = 5,
                  walk_length: int = 12, window: int = 3, epochs: int = 2,
                  negatives: int = 5, null_extension: bool = True,
-                 seed: int = 0, workers: int | None = None,
-                 sgns_shards: int = 1, cache_dir: str | None = None):
+                 seed: int = 0, cache_dir: str | None = None):
+        for name, value in (("dim", dim), ("walks_per_node", walks_per_node),
+                            ("walk_length", walk_length), ("window", window)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.dim = dim
         self.walks_per_node = walks_per_node
         self.walk_length = walk_length
@@ -60,8 +57,6 @@ class EmbdiEmbedder:
         self.negatives = negatives
         self.null_extension = null_extension
         self.seed = seed
-        self.workers = workers
-        self.sgns_shards = sgns_shards
         self.cache_dir = cache_dir
         self._table_graph: TableGraph | None = None
         self._vectors: np.ndarray | None = None
@@ -72,7 +67,6 @@ class EmbdiEmbedder:
                 "walk_length": self.walk_length, "window": self.window,
                 "epochs": self.epochs, "negatives": self.negatives,
                 "null_extension": self.null_extension, "seed": self.seed,
-                "sgns_shards": self.sgns_shards,
                 "dtype": np.dtype(get_default_dtype()).str}
 
     def fit(self, table: Table,
@@ -97,16 +91,14 @@ class EmbdiEmbedder:
         with span("embed"):
             with span("walks"):
                 matrix, lengths = generate_walk_matrix(
-                    walk_graph, self.walks_per_node, self.walk_length, rng,
-                    workers=self.workers)
+                    walk_graph, self.walks_per_node, self.walk_length, rng)
             with span("sgns"):
                 pairs = SkipGram.pairs_from_matrix(matrix, lengths,
                                                    window=self.window)
                 model = SkipGram(self._table_graph.graph.n_nodes,
                                  dim=self.dim, negatives=self.negatives,
                                  seed=self.seed)
-                model.train(pairs, epochs=self.epochs,
-                            shards=self.sgns_shards, workers=self.workers)
+                model.train(pairs, epochs=self.epochs)
         self._vectors = model.vectors()
         cache.store(key, self._vectors)
         return self

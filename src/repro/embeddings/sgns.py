@@ -16,20 +16,13 @@ The implementation is fully vectorized:
 * **gradient accumulation** — per-row gradient means are computed with
   ``np.bincount`` over the batch's *unique* rows, replacing an
   ``np.add.at`` scatter into a full ``(vocab, dim)`` scratch matrix
-  per batch;
-* **optional data-parallel epochs** — ``shards > 1`` splits each
-  epoch's shuffled pairs into that many fixed shards, trains each
-  shard independently from the epoch's starting weights (on a
-  :func:`repro.parallel.parallel_map` pool when ``workers > 1``), and
-  averages the resulting weights.  The result depends on the shard
-  count, never on the worker count.
+  per batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..parallel import parallel_map, spawn_seeds
 from ..tensor import get_default_dtype
 
 __all__ = ["SkipGram", "AliasSampler"]
@@ -155,57 +148,28 @@ class SkipGram:
         return SkipGram.pairs_from_matrix(matrix, lengths, window=window)
 
     def train(self, pairs: np.ndarray, epochs: int = 3, lr: float = 0.05,
-              batch_size: int = 512, shards: int = 1,
-              workers: int | None = None) -> "SkipGram":
+              batch_size: int = 512) -> "SkipGram":
         """Run SGNS updates over the (center, context) pairs.
 
         The learning rate decays linearly to 10% of its initial value
-        over the epochs, as in word2vec.  With ``shards > 1`` each
-        epoch trains the shards independently from the epoch's starting
-        weights and averages the results (deterministic in the shard
-        count; ``workers`` only schedules the shards).
+        over the epochs, as in word2vec.
         """
         if pairs.size == 0:
             return self
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         counts = np.bincount(pairs[:, 1], minlength=self.vocab_size)
         sampler = AliasSampler(self._noise_distribution(counts))
         n_pairs = pairs.shape[0]
         steps_per_epoch = (n_pairs + batch_size - 1) // batch_size
         total_steps = max(1, epochs * steps_per_epoch)
-        if shards == 1:
-            step = 0
-            for _ in range(epochs):
-                order = self._rng.permutation(n_pairs)
-                step = _run_epoch(self.in_vectors, self.out_vectors,
-                                  pairs, order, sampler, self.negatives,
-                                  lr, step, total_steps, batch_size,
-                                  self._rng)
-            return self
-        return self._train_sharded(pairs, sampler, epochs, lr, batch_size,
-                                   shards, workers, total_steps)
-
-    def _train_sharded(self, pairs, sampler, epochs, lr, batch_size,
-                       shards, workers, total_steps) -> "SkipGram":
-        shared = {"sgns_pairs": np.ascontiguousarray(pairs)}
         step = 0
         for _ in range(epochs):
-            order = self._rng.permutation(pairs.shape[0])
-            slices = np.array_split(order, shards)
-            seeds = spawn_seeds(self._rng, shards)
-            tasks = [(indices, self.in_vectors, self.out_vectors,
-                      sampler.prob, sampler.alias, self.negatives, lr,
-                      step, total_steps, batch_size, seed)
-                     for indices, seed in zip(slices, seeds)]
-            results = parallel_map(_sgns_epoch_shard, tasks,
-                                   workers=workers, shared=shared)
-            self.in_vectors = np.mean([r[0] for r in results], axis=0) \
-                .astype(self.in_vectors.dtype, copy=False)
-            self.out_vectors = np.mean([r[1] for r in results], axis=0) \
-                .astype(self.out_vectors.dtype, copy=False)
-            # Advance the decay clock as the serial path would have.
-            step += (pairs.shape[0] + batch_size - 1) // batch_size
+            order = self._rng.permutation(n_pairs)
+            for start in range(0, n_pairs, batch_size):
+                batch = pairs[order[start:start + batch_size]]
+                rate = lr * max(0.1, 1.0 - step / total_steps)
+                _update_batch(self.in_vectors, self.out_vectors, batch,
+                              sampler, self.negatives, rate, self._rng)
+                step += 1
         return self
 
     def vectors(self) -> np.ndarray:
@@ -231,21 +195,6 @@ def _scatter_mean(matrix: np.ndarray, rows: np.ndarray,
     counts = np.bincount(inverse, minlength=n_unique)
     matrix[unique] -= (lr * accumulated / counts[:, None]).astype(
         matrix.dtype, copy=False)
-
-
-def _run_epoch(in_vectors: np.ndarray, out_vectors: np.ndarray,
-               pairs: np.ndarray, order: np.ndarray, sampler: AliasSampler,
-               negatives: int, lr: float, step: int, total_steps: int,
-               batch_size: int, rng: np.random.Generator) -> int:
-    """One epoch of SGNS batch updates, in place; returns the new step."""
-    n_pairs = order.shape[0]
-    for start in range(0, n_pairs, batch_size):
-        batch = pairs[order[start:start + batch_size]]
-        rate = lr * max(0.1, 1.0 - step / total_steps)
-        _update_batch(in_vectors, out_vectors, batch, sampler, negatives,
-                      rate, rng)
-        step += 1
-    return step
 
 
 def _update_batch(in_vectors: np.ndarray, out_vectors: np.ndarray,
@@ -278,18 +227,3 @@ def _update_batch(in_vectors: np.ndarray, out_vectors: np.ndarray,
     _scatter_mean(out_vectors, negative_ids.reshape(-1),
                   grad_u_neg.reshape(-1, dim), lr)
 
-
-def _sgns_epoch_shard(task, shared):
-    """Train one shard for one epoch (the data-parallel worker body)."""
-    (indices, in_vectors, out_vectors, prob, alias, negatives, lr,
-     step, total_steps, batch_size, seed) = task
-    sampler = AliasSampler.__new__(AliasSampler)
-    sampler.n = prob.shape[0]
-    sampler.prob = prob
-    sampler.alias = alias
-    in_copy = np.array(in_vectors, copy=True)
-    out_copy = np.array(out_vectors, copy=True)
-    rng = np.random.default_rng(seed)
-    _run_epoch(in_copy, out_copy, shared["sgns_pairs"], indices, sampler,
-               negatives, lr, step, total_steps, batch_size, rng)
-    return in_copy, out_copy

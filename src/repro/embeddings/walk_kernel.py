@@ -35,9 +35,7 @@ class FrozenWalkGraph:
     """Immutable CSR snapshot of a :class:`~repro.embeddings.WalkGraph`.
 
     Parameters are the prebuilt flat arrays; use :meth:`freeze` to
-    build them from a mutable ``WalkGraph``.  The arrays are plain
-    numpy, so a frozen graph can be pushed through
-    :class:`repro.parallel.SharedArrays` without copies.
+    build them from a mutable ``WalkGraph``.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
@@ -89,17 +87,6 @@ class FrozenWalkGraph:
         keys = owners + segment_cum / totals
         return keys
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The flat arrays, keyed for :func:`repro.parallel.parallel_map`."""
-        return {"walk_indptr": self.indptr, "walk_indices": self.indices,
-                "walk_keys": self.keys}
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "FrozenWalkGraph":
-        """Rebuild from the :meth:`arrays` mapping (worker side)."""
-        return cls(arrays["walk_indptr"], arrays["walk_indices"],
-                   arrays["walk_keys"])
-
     def step(self, current: np.ndarray,
              draws: np.ndarray) -> np.ndarray:
         """Advance every front one weighted step; ``-1`` marks dead ends.
@@ -123,17 +110,15 @@ class FrozenWalkGraph:
         return successors
 
 
-def walk_shard(task, shared: dict[str, np.ndarray]):
-    """Run one shard of walks (the :func:`parallel_map` worker body).
+def walk_shard(graph: FrozenWalkGraph, starts: np.ndarray,
+               walk_length: int, seed: np.random.SeedSequence
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Run one walk from each of ``starts`` with the shard's own seed.
 
-    ``task`` is ``(lo, hi, walk_length, seed)``: the half-open slice of
-    the shared ``walk_starts`` array this shard owns and the spawned
-    per-shard seed.  Returns ``(matrix, lengths)`` where ``matrix`` is
-    ``(hi - lo, walk_length)`` with ``-1`` padding after early stops.
+    Returns ``(matrix, lengths)`` where ``matrix`` is
+    ``(len(starts), walk_length)`` with ``-1`` padding after early
+    stops.
     """
-    lo, hi, walk_length, seed = task
-    graph = FrozenWalkGraph.from_arrays(shared)
-    starts = shared["walk_starts"][lo:hi]
     rng = np.random.default_rng(seed)
     n_walks = starts.shape[0]
     matrix = np.full((n_walks, walk_length), -1, dtype=np.int64)

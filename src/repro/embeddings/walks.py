@@ -12,15 +12,15 @@ import numpy as np
 
 from ..data import MISSING, Table
 from ..graph import TableGraph
-from ..parallel import parallel_map, spawn_seeds
+from ..parallel import spawn_seeds
 from .walk_kernel import FrozenWalkGraph, walk_shard, walks_to_lists
 
 __all__ = ["WalkGraph", "build_walk_graph", "generate_walks",
            "generate_walk_matrix"]
 
-#: Start nodes per shard.  A *fixed* granularity (never derived from
-#: the worker count) keeps the shard plan — and with it every spawned
-#: per-shard seed — identical for ``workers=1`` and ``workers=N``.
+#: Start nodes per shard.  Each shard draws from its own spawned seed;
+#: the shards exist only so the walk corpus keeps the bits it had when
+#: they were also the unit of pooled scheduling.
 WALK_SHARD_SIZE = 2048
 
 
@@ -105,8 +105,7 @@ def build_walk_graph(table_graph: TableGraph, table: Table,
 
 def generate_walk_matrix(walk_graph: WalkGraph, walks_per_node: int,
                          walk_length: int, rng: np.random.Generator,
-                         start_nodes: list[int] | None = None,
-                         workers: int | None = None
+                         start_nodes: list[int] | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Generate walks as a padded matrix via the batched CSR kernel.
 
@@ -115,10 +114,9 @@ def generate_walk_matrix(walk_graph: WalkGraph, walks_per_node: int,
     padding after early stops at isolated nodes, rows ordered by
     (repetition, start) exactly like the historical list output.
 
-    Work is sharded into fixed-size start ranges (``WALK_SHARD_SIZE``)
+    Work is split into fixed-size start ranges (``WALK_SHARD_SIZE``)
     per repetition; each shard draws from its own seed spawned off
-    ``rng``, so the corpus is bit-identical for every ``workers``
-    value and ``workers`` only controls scheduling.
+    ``rng``.
     """
     if walk_length < 1:
         raise ValueError("walk_length must be at least 1")
@@ -129,15 +127,9 @@ def generate_walk_matrix(walk_graph: WalkGraph, walks_per_node: int,
 
     boundaries = list(range(0, max(starts.shape[0], 1), WALK_SHARD_SIZE))
     seeds = spawn_seeds(rng, walks_per_node * len(boundaries))
-    tasks = []
-    for repetition in range(walks_per_node):
-        for chunk, lo in enumerate(boundaries):
-            hi = min(lo + WALK_SHARD_SIZE, starts.shape[0])
-            seed = seeds[repetition * len(boundaries) + chunk]
-            tasks.append((lo, hi, walk_length, seed))
-
-    shared = dict(frozen.arrays(), walk_starts=starts)
-    shards = parallel_map(walk_shard, tasks, workers=workers, shared=shared)
+    shards = [walk_shard(frozen, starts[lo:lo + WALK_SHARD_SIZE],
+                         walk_length, seed)
+              for seed, lo in zip(seeds, boundaries * walks_per_node)]
     if not shards:
         empty = np.empty((0, walk_length), dtype=np.int64)
         return empty, np.empty(0, dtype=np.int64)
@@ -148,8 +140,7 @@ def generate_walk_matrix(walk_graph: WalkGraph, walks_per_node: int,
 
 def generate_walks(walk_graph: WalkGraph, walks_per_node: int,
                    walk_length: int, rng: np.random.Generator,
-                   start_nodes: list[int] | None = None,
-                   workers: int | None = None) -> list[list[int]]:
+                   start_nodes: list[int] | None = None) -> list[list[int]]:
     """Generate uniform-start weighted random walks.
 
     Walks stop early at isolated nodes; single-node "walks" from
@@ -159,5 +150,5 @@ def generate_walks(walk_graph: WalkGraph, walks_per_node: int,
     """
     matrix, lengths = generate_walk_matrix(
         walk_graph, walks_per_node, walk_length, rng,
-        start_nodes=start_nodes, workers=workers)
+        start_nodes=start_nodes)
     return walks_to_lists(matrix, lengths)

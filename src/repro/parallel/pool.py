@@ -1,25 +1,19 @@
-"""Deterministic seeded process-pool map over shared-memory arrays.
+"""Deterministic seeded process pool over shared-memory arrays.
 
-The embedding pre-compute (random walks + SGNS) is embarrassingly
-parallel *by shard*, but naive ``multiprocessing`` would pickle the
-whole graph into every worker and make results depend on the worker
-count.  This module fixes both:
+Everything in :mod:`repro` runs in one process today; this module keeps
+the pool primitives a batch-preparation pipeline would build on:
 
-* **shared-memory arrays** — read-only numpy inputs (CSR graphs, walk
-  corpora, pair lists) are packed once into POSIX shared memory
+* **shared-memory arrays** — read-only numpy inputs (CSR graphs, index
+  arrays) are packed once into POSIX shared memory
   (:class:`SharedArrays`); workers attach zero-copy views by name.
 * **deterministic sharding** — callers split work into a shard plan
   that depends only on the *problem* (never on the worker count) and
   draw one spawned :class:`numpy.random.SeedSequence` per shard, so
   ``workers=1`` and ``workers=N`` produce bit-identical results and
-  :func:`parallel_map` merely changes how shards are scheduled.
+  :class:`ShardPool` merely changes how shards are scheduled.
 * **serial fallback** — ``workers=1`` (the default) runs every shard
   in-process with no pool, no pickling, and no shared-memory setup;
   the parallel path is pure scheduling on top of the same shard code.
-
-The worker count resolves explicit argument -> ``REPRO_WORKERS`` ->
-``1``; the CLI's ``--workers`` flag sets the environment variable so
-every embedding layer underneath picks it up.
 """
 
 from __future__ import annotations
@@ -30,13 +24,8 @@ from queue import Empty
 
 import numpy as np
 
-__all__ = ["WORKERS_ENV", "BENCH_CORES_ENV", "resolve_workers",
-           "schedulable_cores", "spawn_seeds", "SharedArrays",
-           "attach_shared", "parallel_map", "pool_context",
-           "ShardPool"]
-
-#: Environment variable providing the default worker count.
-WORKERS_ENV = "REPRO_WORKERS"
+__all__ = ["BENCH_CORES_ENV", "schedulable_cores", "spawn_seeds",
+           "SharedArrays", "attach_shared", "pool_context", "ShardPool"]
 
 #: Environment variable overriding the detected core count for
 #: core-aware benchmark gating (CI sets it from ``nproc`` so manifests
@@ -66,26 +55,6 @@ def schedulable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Resolve a worker count: explicit value -> ``REPRO_WORKERS`` -> 1.
-
-    Values below 1 (or an unparseable environment variable) raise
-    ``ValueError`` — silently degrading to serial would hide typos.
-    """
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV}={raw!r} is not an integer")
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
 
 
 def spawn_seeds(rng: np.random.Generator, n: int) -> list:
@@ -178,47 +147,6 @@ def pool_context():
         "fork" if "fork" in methods else "spawn")
 
 
-def parallel_map(fn, tasks, *, workers: int | None = None,
-                 shared: dict[str, np.ndarray] | None = None) -> list:
-    """Map ``fn(task, shared)`` over ``tasks``, preserving task order.
-
-    ``fn`` must be a module-level function (workers import it by
-    qualified name under the spawn start method).  ``shared`` arrays
-    are passed by reference serially and through shared memory in the
-    pool; workers must treat them as read-only.  Results are returned
-    in task order regardless of completion order, so callers get the
-    same output for every worker count.
-    """
-    from ..telemetry import counter, gauge
-
-    tasks = list(tasks)
-    workers = resolve_workers(workers)
-    counter("parallel.map.calls").inc()
-    counter("parallel.map.tasks").inc(len(tasks))
-    effective = min(workers, len(tasks)) if tasks else 1
-    gauge("parallel.map.workers").set(effective)
-    if effective <= 1:
-        arrays = shared or {}
-        return [fn(task, arrays) for task in tasks]
-
-    counter("parallel.map.pooled_calls").inc()
-    with ShardPool(_map_task, workers=effective, shared=shared,
-                   init_fn=_map_state, payload=fn) as pool:
-        return pool.run(tasks)
-
-
-def _map_state(views, fn):
-    """:func:`parallel_map` on a :class:`ShardPool`: a worker's state
-    is the mapped function itself."""
-    return fn
-
-
-def _map_task(task, views, fn):
-    """:func:`parallel_map` on a :class:`ShardPool`: one task is one
-    ``fn(task, shared)`` call."""
-    return fn(task, views)
-
-
 class _ShardTaskError:
     """Picklable failure marker a shard worker returns instead of dying."""
 
@@ -254,21 +182,19 @@ def _shard_worker_main(fn, init_fn, payload, specs, untrack,
 class ShardPool:
     """Long-lived deterministic workers with per-worker persistent state.
 
-    :func:`parallel_map` builds a pool (and re-packs shared memory) per
-    call, which is the right shape for one-shot shard plans but wasteful
-    for *epoch loops* that dispatch the same kind of work dozens of
-    times against the same read-only arrays.  A ``ShardPool`` starts its
-    workers once: each attaches the shared pack, runs
+    A ``ShardPool`` starts its workers once, for *epoch loops* that
+    dispatch the same kind of work dozens of times against the same
+    read-only arrays: each worker attaches the shared pack, runs
     ``init_fn(views, payload)`` to build per-worker state (a model, a
     sampler), and then serves ``fn(task, views, state)``
     calls until :meth:`close`.
 
     Determinism contract: results are returned **in task order** no
     matter which worker ran which task or in what order they finished,
-    so — as with :func:`parallel_map` — callers that shard work
-    independently of the worker count get bit-identical output for
-    every count.  At ``workers=1`` everything runs in-process (no pool,
-    no pickling) through the same ``init_fn``/``fn`` code path.
+    so callers that shard work independently of the worker count get
+    bit-identical output for every count.  At ``workers=1`` everything
+    runs in-process (no pool, no pickling) through the same
+    ``init_fn``/``fn`` code path.
 
     A worker that dies mid-run (OOM kill, hard crash) is detected by
     liveness polling while the parent waits on the result queue;
@@ -280,10 +206,12 @@ class ShardPool:
     #: Seconds between liveness polls while waiting on results.
     POLL_SECONDS = 1.0
 
-    def __init__(self, fn, *, workers: int | None = None,
+    def __init__(self, fn, *, workers: int = 1,
                  shared: dict[str, np.ndarray] | None = None,
                  init_fn=None, payload=None):
-        self.workers = resolve_workers(workers)
+        if workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {workers}")
+        self.workers = workers
         self._fn = fn
         self._init_fn = init_fn
         self._payload = payload

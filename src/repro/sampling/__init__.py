@@ -17,7 +17,7 @@ arXiv:2210.10446, brought to the paper's RID/cell/attribute graph):
   exactly when the fanout is unbounded;
 * :class:`MinibatchIterator` — a deterministic batch schedule seeded
   via :func:`repro.parallel.spawn_seeds`: bit-identical batch order
-  for a given seed, independent of ``REPRO_WORKERS``.
+  for a given seed.
 
 :mod:`repro.core.trainer` threads these together behind
 ``GrimpConfig(batch_size=..., fanout=...)``.  Each batch goes sample ->

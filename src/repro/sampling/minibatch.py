@@ -2,9 +2,8 @@
 
 The iterator's contract is strict bit-reproducibility: for a given
 seed, the sequence of batches — which task, which sample rows, and the
-per-batch sampling seed — is identical across runs, across machines,
-and across ``REPRO_WORKERS`` settings (no pool is involved in
-scheduling; every seed derives from one ``SeedSequence`` tree via
+per-batch sampling seed — is identical across runs and across machines
+(every seed derives from one ``SeedSequence`` tree via
 :func:`repro.parallel.spawn_seeds`).
 
 Batch *contents* are fixed once at construction: each task's samples

@@ -54,12 +54,9 @@ class TestParser:
 
     def test_impute_accepts_workers_and_embed_cache(self):
         args = build_parser().parse_args(
-            ["impute", "in.csv", "out.csv", "--workers", "4",
-             "--embed-cache", ".embed"])
-        assert args.workers == 4
+            ["impute", "in.csv", "out.csv", "--embed-cache", ".embed"])
         assert args.embed_cache == ".embed"
         defaults = build_parser().parse_args(["impute", "in.csv", "out.csv"])
-        assert defaults.workers is None
         assert defaults.embed_cache is None
 
     def test_serve_defaults(self):
@@ -74,7 +71,8 @@ class TestParser:
             build_parser().parse_args(["serve", "model.ckpt", flag, "1"])
 
     @pytest.mark.parametrize("flag, keyword", [
-        ("--dp-shards", "dp_shards"), ("--dp-workers", "dp_workers")])
+        ("--dp-shards", "dp_shards"), ("--dp-workers", "dp_workers"),
+        ("--workers", "workers")])
     def test_sampled_training_has_one_path(self, flag, keyword):
         from repro.experiments import make_imputer
         with pytest.raises(SystemExit):

@@ -1,13 +1,13 @@
 """Tests for the training step and the pool building blocks.
 
-Sampled training has one serial path; what remains here is what it
-and the EmbDI pre-compute stand on:
+Sampled training and the EmbDI pre-compute run in one process; what
+remains here is the training step and the pool building blocks:
 
 * the one training step applies the allocator setting, and a sampled
   epoch steps every scheduled batch — even one with no real context;
-* `ShardPool` returns results in task order with per-worker
-  persistent state, and `Tracer.record` folds externally timed work
-  into the aggregate;
+* `ShardPool` rejects a worker count below 1 and returns results in
+  task order with per-worker persistent state, and `Tracer.record`
+  folds externally timed work into the aggregate;
 * a fit reports no data-parallel phases.
 """
 
@@ -111,6 +111,10 @@ def _fail_on_three(task, views, state):
 
 
 class TestShardPool:
+    def test_rejects_nonpositive_workers(self):
+        with pytest.raises(ValueError, match="worker count"):
+            ShardPool(_double, workers=0)
+
     def test_serial_path_runs_in_process(self):
         with ShardPool(_double, workers=1) as pool:
             assert pool.run([1, 2, 3]) == [2, 4, 6]

@@ -1,55 +1,10 @@
-"""Tests for ``repro.parallel``: worker resolution, seed spawning,
-shared-memory packing, and the deterministic ``parallel_map``."""
+"""Tests for ``repro.parallel``: seed spawning and shared-memory
+packing (``ShardPool`` is covered in ``test_distributed.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    WORKERS_ENV,
-    SharedArrays,
-    attach_shared,
-    parallel_map,
-    resolve_workers,
-    spawn_seeds,
-)
-from repro.telemetry import get_registry
-
-
-def _square_task(task, shared):
-    return task * task
-
-
-def _scaled_sum(task, shared):
-    lo, hi = task
-    return float(shared["values"][lo:hi].sum())
-
-
-def _seeded_draw(task, shared):
-    rng = np.random.default_rng(task)
-    return rng.random(4)
-
-
-class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "5")
-        assert resolve_workers() == 5
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_workers() == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-
-    def test_rejects_unparseable_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(ValueError):
-            resolve_workers()
+from repro.parallel import SharedArrays, attach_shared, spawn_seeds
 
 
 class TestSpawnSeeds:
@@ -86,44 +41,3 @@ class TestSharedArrays:
         pack.close()
         pack.close()
 
-
-class TestParallelMap:
-    def test_serial_path(self):
-        assert parallel_map(_square_task, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    def test_pooled_matches_serial(self):
-        tasks = list(range(8))
-        serial = parallel_map(_square_task, tasks, workers=1)
-        pooled = parallel_map(_square_task, tasks, workers=3)
-        assert pooled == serial
-
-    def test_shared_arrays_reach_workers(self):
-        values = np.arange(100, dtype=np.float64)
-        tasks = [(0, 25), (25, 50), (50, 100)]
-        expected = [float(values[lo:hi].sum()) for lo, hi in tasks]
-        serial = parallel_map(_scaled_sum, tasks, workers=1,
-                              shared={"values": values})
-        pooled = parallel_map(_scaled_sum, tasks, workers=2,
-                              shared={"values": values})
-        assert serial == expected
-        assert pooled == expected
-
-    def test_order_preserved_with_seeds(self):
-        seeds = spawn_seeds(np.random.default_rng(7), 6)
-        serial = parallel_map(_seeded_draw, seeds, workers=1)
-        pooled = parallel_map(_seeded_draw, seeds, workers=3)
-        for left, right in zip(serial, pooled):
-            assert np.array_equal(left, right)
-
-    def test_empty_tasks(self):
-        assert parallel_map(_square_task, [], workers=4) == []
-
-    def test_counters_recorded(self):
-        registry = get_registry()
-        calls_before = registry.counter("parallel.map.calls").value
-        tasks_before = registry.counter("parallel.map.tasks").value
-        parallel_map(_square_task, [1, 2], workers=1)
-        assert registry.counter("parallel.map.calls").value \
-            == calls_before + 1
-        assert registry.counter("parallel.map.tasks").value \
-            == tasks_before + 2

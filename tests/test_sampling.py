@@ -8,8 +8,8 @@ Four layers of guarantees, bottom-up:
   and a bounded, deterministic, unbiased estimator at finite fanouts;
   the operators it assembles equal scipy's COO -> CSR build array for
   array.
-* The minibatch schedule is bit-identical across runs and
-  `REPRO_WORKERS` values, with chunk contents fixed across epochs.
+* The minibatch schedule is bit-identical across runs, with chunk
+  contents fixed across epochs.
 * The trainer integration holds the golden parity: a fanout-0
   minibatch reproduces full-graph forward outputs *and gradients* to
   float64 round-off, and sampled fits are deterministic end-to-end.
@@ -355,17 +355,6 @@ class TestMinibatchIterator:
                 assert a.seed.entropy == b.seed.entropy
                 assert a.seed.spawn_key == b.seed.spawn_key
 
-    def test_independent_of_workers_env(self, monkeypatch):
-        def schedule():
-            iterator = MinibatchIterator([16], 4, seed=9)
-            return [(batch.task, batch.rows.tolist(), batch.seed.spawn_key)
-                    for batch in iterator.epoch(0) + iterator.epoch(1)]
-
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        serial = schedule()
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert schedule() == serial
-
     def test_chunk_contents_fixed_order_shuffled(self):
         iterator = MinibatchIterator([24], 6, seed=1)
 
@@ -544,7 +533,7 @@ class TestSampledTraining:
         assert meta["fanout"] == 2 and meta["batch_size"] == 16
         assert meta["n_batches"] >= 1
 
-    def test_deterministic_across_runs_and_workers(self, monkeypatch):
+    def test_deterministic_across_runs_and_workers(self):
         def run():
             imputer = GrimpImputer(SAMPLED)
             imputed = imputer.impute(self.corruption().dirty)
@@ -553,13 +542,9 @@ class TestSampledTraining:
                      for row in range(imputed.n_rows)]
             return imputer.history_, cells
 
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         history, cells = run()
         repeat_history, repeat_cells = run()
         assert repeat_history == history and repeat_cells == cells
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        workers_history, workers_cells = run()
-        assert workers_history == history and workers_cells == cells
 
     def test_sampled_phase_spans_recorded(self):
         imputer = GrimpImputer(SAMPLED)
