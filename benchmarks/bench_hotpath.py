@@ -11,7 +11,11 @@ breakdowns (forward/backward/step), minor page faults per epoch of the
 training loop (``faults_per_epoch``: a step whose freed buffers go back
 to the OS faults them in again next step, see
 :func:`repro.core.step.keep_freed_pages`) and imputation
-accuracy per run.
+accuracy per run.  One more ``plan32`` fit on the first dataset runs
+under ``tracemalloc``; its peak over the whole ``impute()``
+(``mem.peak_mb.plan32``, gated by a ``max`` rule) is what a backward
+pass that kept its intermediate gradients alive would push up.  It is a
+separate fit so tracing overhead stays out of the timed runs.
 Absolute epoch times are informational; end-to-end fit time is gated
 by ``perfbench``.  A schema-versioned run manifest
 (``BENCH_hotpath_manifest.json``) is written next to it; the CI gate
@@ -32,6 +36,7 @@ import json
 import platform
 import resource
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +63,37 @@ VARIANTS = {
 }
 
 
-def run_variant(name: str, dataset: str, n_rows: int, error_rate: float,
-                epochs: int, patience: int, seed: int) -> dict:
-    """Train one variant and return its timing/accuracy record."""
+def _setup(name: str, dataset: str, n_rows: int, error_rate: float,
+           epochs: int, patience: int, seed: int):
+    """The corrupted dataset and a fresh imputer for one variant."""
     clean = load(dataset, n_rows=n_rows, seed=seed)
     corruption = inject_mcar(clean, error_rate,
                              np.random.default_rng(seed + 1))
     config = GrimpConfig(epochs=epochs, patience=patience, seed=seed,
                          **VARIANTS[name])
-    imputer = GrimpImputer(config)
+    return corruption, GrimpImputer(config)
+
+
+def peak_mb(name: str, dataset: str, n_rows: int, error_rate: float,
+            epochs: int, patience: int, seed: int) -> float:
+    """``tracemalloc`` peak (MB) over one whole ``impute()`` of a
+    variant."""
+    corruption, imputer = _setup(name, dataset, n_rows, error_rate,
+                                 epochs, patience, seed)
+    tracemalloc.start()
+    try:
+        imputer.impute(corruption.dirty)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6
+
+
+def run_variant(name: str, dataset: str, n_rows: int, error_rate: float,
+                epochs: int, patience: int, seed: int) -> dict:
+    """Train one variant and return its timing/accuracy record."""
+    corruption, imputer = _setup(name, dataset, n_rows, error_rate,
+                                 epochs, patience, seed)
     loop_faults = _count_loop_faults(imputer)
     imputed = imputer.impute(corruption.dirty)
     score = evaluate_imputation(corruption, imputed)
@@ -159,6 +186,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"rmse={record['rmse']:.4f}  "
                   f"faults/epoch={record['faults_per_epoch']:.0f}")
 
+    dataset, n_rows = profile["datasets"][0]
+    peak_plan32 = peak_mb("plan32", dataset, n_rows, profile["error_rate"],
+                          profile["epochs"], profile["patience"], args.seed)
+    print(f"plan32  {dataset:12s} tracemalloc peak={peak_plan32:.1f} MB")
+
     summaries = {name: aggregate(records)
                  for name, records in runs.items()}
     report = {
@@ -173,12 +205,15 @@ def main(argv: list[str] | None = None) -> int:
             name: records[0]["train_conversions"]
             for name, records in runs.items()
         },
+        "peak_mb": {"plan32": {"dataset": dataset, "n_rows": n_rows,
+                               "tracemalloc": peak_plan32}},
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
 
-    # Machine-portable metrics only (ratios, accuracy, counters) plus
-    # informational absolute timings; the CI gate bounds the former and
-    # merely records the latter, since wall times vary across runners.
+    # Machine-portable metrics only (ratios, accuracy, counters, the
+    # tracemalloc peak) plus informational absolute timings; the CI gate
+    # bounds the former and merely records the latter, since wall times
+    # vary across runners.
     metrics: dict[str, float] = {}
     for name in VARIANTS:
         metrics[f"accuracy.{name}"] = summaries[name]["accuracy"]
@@ -189,6 +224,7 @@ def main(argv: list[str] | None = None) -> int:
             float(sum(conversions.values()))
     metrics["faults_per_epoch.plan32"] = \
         summaries["plan32"]["faults_per_epoch"]
+    metrics["mem.peak_mb.plan32"] = peak_plan32
     manifest_path = out_path.with_name(out_path.stem + "_manifest.json")
     write_manifest(build_manifest(
         {"kind": "bench", "benchmark": "hotpath",

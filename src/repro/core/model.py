@@ -33,7 +33,7 @@ from .tasks import AttentionTask, LinearTask
 
 __all__ = ["SharedLayer", "GrimpModel", "fd_related_columns",
            "build_node_index_matrix", "build_sample_indices",
-           "build_row_indices"]
+           "masked_sample_rows", "build_row_indices"]
 
 
 class SharedLayer(Module):
@@ -213,6 +213,20 @@ def build_node_index_matrix(table: Table,
     return matrix
 
 
+def masked_sample_rows(node_matrix: np.ndarray, rows, position,
+                       null_index: int) -> np.ndarray:
+    """Node-index matrix for training samples: ``(n_samples, C)``.
+
+    Sample ``s`` is table row ``rows[s]`` of ``node_matrix``
+    (:func:`build_node_index_matrix`) with its target cell, in column
+    ``position`` (one for every sample, or one per sample), set to
+    ``null_index``.
+    """
+    matrix = node_matrix[rows]
+    matrix[np.arange(matrix.shape[0]), position] = null_index
+    return matrix
+
+
 def build_sample_indices(table: Table, table_graph: TableGraph,
                          samples: list[TrainingSample],
                          node_matrix: np.ndarray | None = None) -> np.ndarray:
@@ -223,21 +237,21 @@ def build_sample_indices(table: Table, table_graph: TableGraph,
     ``n_nodes`` (the zero row appended by
     :meth:`GrimpModel.node_representations`).  Pass a precomputed
     ``node_matrix`` (:func:`build_node_index_matrix`) to share the
-    per-cell lookups across call sites.
+    per-cell lookups across call sites.  The trainer, which keeps
+    samples as per-task arrays, calls :func:`masked_sample_rows`.
     """
     if node_matrix is None:
         node_matrix = build_node_index_matrix(table, table_graph)
-    null_index = table_graph.graph.n_nodes
     n = len(samples)
-    rows = np.fromiter((sample.row for sample in samples),
-                       dtype=np.int64, count=n)
-    matrix = node_matrix[rows]
     position = {column: index
                 for index, column in enumerate(table.column_names)}
-    targets = np.fromiter((position[sample.target_column]
-                           for sample in samples), dtype=np.int64, count=n)
-    matrix[np.arange(n), targets] = null_index
-    return matrix
+    return masked_sample_rows(
+        node_matrix,
+        np.fromiter((sample.row for sample in samples), dtype=np.int64,
+                    count=n),
+        np.fromiter((position[sample.target_column] for sample in samples),
+                    dtype=np.int64, count=n),
+        table_graph.graph.n_nodes)
 
 
 def build_row_indices(table: Table, table_graph: TableGraph,

@@ -28,7 +28,7 @@ from .config import GrimpConfig
 from .corpus import build_training_corpus, samples_by_task, split_corpus
 from .fill import Predict, fill_missing
 from .model import (GrimpModel, build_node_index_matrix,
-                    build_sample_indices, fd_related_columns)
+                    fd_related_columns, masked_sample_rows)
 from .step import evaluate, sampled_inputs, step
 
 __all__ = ["GrimpImputer", "FittedArtifacts"]
@@ -55,18 +55,33 @@ class FittedArtifacts:
 
 
 class _TaskData:
-    """Precomputed index matrices and targets for one task's samples."""
+    """One task's samples as arrays: each sample's table row, the
+    target column's position, and the encoded targets.
 
-    def __init__(self, indices: np.ndarray, targets: np.ndarray,
-                 gather=None):
-        self.indices = indices
+    A sample's ``(C,)`` index row is its table row of the fit's node
+    index matrix with the target cell masked; :meth:`indices` builds
+    those rows for whichever samples a step or batch needs, so no
+    per-sample objects and no whole-task index matrix outlive the
+    corpus.
+    """
+
+    def __init__(self, rows: np.ndarray, position: int,
+                 targets: np.ndarray):
+        self.rows = rows
+        self.position = position
         self.targets = targets
-        #: Optional precompiled gather operator (full-batch hot path).
-        self.gather = gather
 
     @property
     def n(self) -> int:
-        return self.indices.shape[0]
+        return self.rows.shape[0]
+
+    def indices(self, node_matrix: np.ndarray, null_index: int,
+                select=slice(None)) -> np.ndarray:
+        """The ``(n, C)`` index matrix of the ``select``-ed samples
+        (masked target cells and missing cells point at
+        ``null_index``)."""
+        return masked_sample_rows(node_matrix, self.rows[select],
+                                  self.position, null_index)
 
 
 class GrimpImputer(Imputer):
@@ -148,6 +163,12 @@ class GrimpImputer(Imputer):
         Two training paths: full-graph (``batch_size`` unset) and
         sampled minibatch (``batch_size`` set; without ``fanout`` the
         neighborhoods are exact, i.e. ``fanout=0``).
+
+        Each phase hands on only what the next ones read, so the
+        corpus objects, the float64 features and the scipy adjacencies
+        are gone before training starts.  In sampled mode the frozen
+        graph is the one full-graph copy held during training; the
+        fill/checkpoint plan is built from the table graph afterwards.
         """
         config = self.config
         rng = np.random.default_rng(config.seed)
@@ -169,124 +190,102 @@ class GrimpImputer(Imputer):
             with tracer.span("normalize"):
                 normalizer = NumericNormalizer()
                 normalized = normalizer.fit_transform(dirty)
+            encoders = TableEncoder(normalized)
             with tracer.span("corpus"):
-                corpus = build_training_corpus(normalized)
-                train_samples, validation_samples = split_corpus(
-                    corpus, config.validation_fraction, rng)
-                if config.corpus_fraction < 1.0:
-                    # §7 efficiency knob: train on a random sample subset.
-                    keep = max(1, int(round(len(train_samples) *
-                                            config.corpus_fraction)))
-                    chosen = rng.choice(len(train_samples), size=keep,
-                                        replace=False)
-                    train_samples = [train_samples[position]
-                                     for position in chosen]
-                validation_cells = {sample.cell
-                                    for sample in validation_samples}
+                train_tasks, validation_tasks = self._corpus_tasks(
+                    normalized, encoders, rng, dtype)
 
             with tracer.span("graph"):
                 table_graph = build_table_graph(
-                    normalized, exclude_cells=validation_cells)
+                    normalized,
+                    exclude_cells=_held_out_cells(validation_tasks))
                 edge_types = list(normalized.column_names)
                 if config.augment_fd_edges and config.fds:
                     edge_types += augment_with_fd_edges(
                         table_graph, normalized, config.fds)
-            with tracer.span("features"):
-                features = initialize_node_features(
-                    table_graph, normalized,
-                    strategy=config.feature_strategy,
-                    dim=config.feature_dim, seed=config.seed,
-                    embdi_kwargs=config.embdi_kwargs or None)
-            with tracer.span("plan"):
-                raw_adjacencies = column_adjacencies(table_graph,
-                                                     normalization="row",
-                                                     edge_types=edge_types)
-                # Compile every constant sparse operator once; the epoch
-                # loop below then runs conversion-free.  In sampled mode
-                # the full-graph plan only serves post-fit inference, so
-                # its transposes are left to lazy construction.
-                adjacencies = MessagePassingPlan(
-                    raw_adjacencies, dtype=dtype,
-                    build_backward=not use_sampling)
-            sampler = None
-            if use_sampling:
-                with tracer.span("freeze"):
-                    sampler = NeighborSampler(
-                        FrozenGraph.freeze(raw_adjacencies, dtype=dtype),
-                        fanout=fanout)
-
-            encoders = TableEncoder(normalized)
-            cardinalities = {column: encoders.cardinality(column)
-                             for column in normalized.categorical_columns}
-            fd_related = fd_related_columns(config.fds,
-                                            normalized.column_names)
-            model = GrimpModel(normalized.column_names, normalized.kinds,
-                               cardinalities, features.attribute_vectors,
-                               config, rng, fd_related=fd_related,
-                               gnn_edge_types=edge_types)
-            # With train_features the pre-trained features are refined
-            # end-to-end (§3.4) as a model parameter, so checkpointing
-            # and the optimizer see them.
-            feature_tensor = model.attach_features(features.node_vectors,
-                                                   dtype)
+            model, feature_tensor = self._build_model(
+                normalized, table_graph, encoders, edge_types, rng, dtype,
+                tracer)
             self.model_ = model
+            adjacencies, sampler = self._operators(
+                table_graph, edge_types, dtype, fanout, use_sampling,
+                tracer)
 
+            null_index = table_graph.graph.n_nodes
             with tracer.span("index"):
                 node_matrix = build_node_index_matrix(normalized,
                                                       table_graph)
-                # Gather operators pay off only when the same index
-                # matrix is replayed every epoch (full-batch training).
-                gather_rows = None if use_sampling \
-                    else table_graph.graph.n_nodes + 1
-                train_data = self._task_data(
-                    normalized, table_graph, encoders, train_samples,
-                    node_matrix=node_matrix, gather_rows=gather_rows,
-                    dtype=dtype)
-                validation_data = self._task_data(
-                    normalized, table_graph, encoders, validation_samples,
-                    node_matrix=node_matrix, gather_rows=gather_rows,
-                    dtype=dtype)
+                if sampler is None:
+                    # Gather operators pay off only when the same index
+                    # matrix is replayed every epoch (full-batch).
+                    train_parts = _graph_parts(train_tasks, node_matrix,
+                                               null_index, dtype)
+                    validation_parts = _graph_parts(
+                        validation_tasks, node_matrix, null_index, dtype)
 
-            optimizer = Adam(model.parameters(), lr=config.lr)
-            stopper = EarlyStopping(patience=config.patience)
             self.history_ = []
+            if sampler is None:
+                def epoch_loss(optimizer, epoch):
+                    return step(model, optimizer, adjacencies,
+                                feature_tensor, train_parts,
+                                config.categorical_loss, tracer)
 
-            null_index = table_graph.graph.n_nodes
-            iterator = None
-            if use_sampling:
+                graph_validation = [(1, [(1, adjacencies, feature_tensor,
+                                          validation_parts)])] \
+                    if validation_parts else []
+
+                def validation_groups():
+                    return graph_validation
+            else:
                 # Scheduling derives every seed from one SeedSequence
                 # tree — bit-identical batches for a given config.seed.
                 iterator = MinibatchIterator(
-                    [train_data[column].n for column in train_data],
+                    [task.n for task in train_tasks.values()],
                     config.batch_size,
                     np.random.SeedSequence([config.seed, 0x5A3B]))
+                meta["sampling"]["n_batches"] = iterator.n_batches
+
+                def epoch_loss(optimizer, epoch):
+                    return self._sampled_epoch(
+                        model, optimizer, sampler, feature_tensor,
+                        train_tasks, node_matrix, iterator, epoch,
+                        null_index, tracer)
+
+                def validation_groups():
+                    return self._sampled_validation(
+                        model, sampler, feature_tensor, validation_tasks,
+                        node_matrix, null_index)
 
             conversions_before = conversion_counts()
-            best_state = self._train_loop(
-                model, optimizer, sampler, adjacencies, feature_tensor,
-                train_data, validation_data, iterator, null_index, stopper,
-                tracer)
+            # A table with no observed cell has no training sample: run
+            # no epoch, so the fill leaves every cell missing.
+            self._train_loop(model, epoch_loss, validation_groups,
+                             config.epochs if train_tasks else 0, tracer)
             conversions_after = conversion_counts()
             meta["train_conversions"] = {
                 kind: conversions_after[kind] - conversions_before[kind]
                 for kind in conversions_after}
-            if use_sampling:
-                meta["sampling"]["n_batches"] = iterator.n_batches
 
-            model.load_state_dict(best_state)
-            self._artifacts = FittedArtifacts(
-                model=model, table_graph=table_graph,
-                adjacencies=adjacencies, feature_tensor=feature_tensor,
-                encoders=encoders, normalizer=normalizer,
-                columns=list(dirty.column_names), kinds=dict(dirty.kinds))
             with tracer.span("fill"):
-                if use_sampling:
+                if sampler is not None:
+                    # Built after training, so the full-graph operators
+                    # are never resident beside the frozen graph.
+                    adjacencies = MessagePassingPlan(
+                        column_adjacencies(table_graph, normalization="row",
+                                           edge_types=edge_types),
+                        dtype=dtype, build_backward=False)
                     predict = self._sampled_predict(model, sampler,
                                                     feature_tensor,
                                                     null_index)
                 else:
                     predict = _graph_predict(model, adjacencies,
                                              feature_tensor)
+                self._artifacts = FittedArtifacts(
+                    model=model, table_graph=table_graph,
+                    adjacencies=adjacencies, feature_tensor=feature_tensor,
+                    encoders=encoders, normalizer=normalizer,
+                    columns=list(dirty.column_names),
+                    kinds=dict(dirty.kinds))
                 imputed = fill_missing(dirty, node_matrix, predict,
                                        encoders, normalizer, scores)
         self.train_seconds_ = time.perf_counter() - started
@@ -299,59 +298,107 @@ class GrimpImputer(Imputer):
         self.timings_ = report
         return imputed
 
-    def _train_loop(self, model, optimizer, sampler, adjacencies,
-                    feature_tensor, train_data, validation_data, iterator,
-                    null_index, stopper, tracer) -> dict:
-        """The epoch loop shared by both training paths; returns the
-        state with the best validation loss.
-
-        A full-graph epoch is one :func:`~repro.core.step.step` over
-        every task; a sampled epoch one step per batch.
-        """
+    def _corpus_tasks(self, table: Table, encoders: TableEncoder,
+                      rng: np.random.Generator, dtype
+                      ) -> tuple[dict[str, _TaskData], dict[str, _TaskData]]:
+        """Build and split the self-supervised corpus (§3.3) into
+        per-task sample arrays; the sample objects die here."""
         config = self.config
+        corpus = build_training_corpus(table)
+        train_samples, validation_samples = split_corpus(
+            corpus, config.validation_fraction, rng)
+        if config.corpus_fraction < 1.0:
+            # §7 efficiency knob: train on a random sample subset.
+            keep = max(1, int(round(len(train_samples) *
+                                    config.corpus_fraction)))
+            chosen = rng.choice(len(train_samples), size=keep,
+                                replace=False)
+            train_samples = [train_samples[position]
+                             for position in chosen]
+        return (_task_data(table, encoders, train_samples, dtype),
+                _task_data(table, encoders, validation_samples, dtype))
+
+    def _build_model(self, table: Table, table_graph, encoders: TableEncoder,
+                     edge_types: list[str], rng: np.random.Generator, dtype,
+                     tracer: Tracer) -> tuple[GrimpModel, Tensor]:
+        """Initialize the node features and build the model around
+        them; returns the model and its feature tensor in ``dtype``."""
+        config = self.config
+        with tracer.span("features"):
+            features = initialize_node_features(
+                table_graph, table, strategy=config.feature_strategy,
+                dim=config.feature_dim, seed=config.seed,
+                embdi_kwargs=config.embdi_kwargs or None)
+        cardinalities = {column: encoders.cardinality(column)
+                         for column in table.categorical_columns}
+        fd_related = fd_related_columns(config.fds, table.column_names)
+        model = GrimpModel(table.column_names, table.kinds, cardinalities,
+                           features.attribute_vectors, config, rng,
+                           fd_related=fd_related, gnn_edge_types=edge_types)
+        # With train_features the pre-trained features are refined
+        # end-to-end (§3.4) as a model parameter, so checkpointing and
+        # the optimizer see them.
+        return model, model.attach_features(features.node_vectors, dtype)
+
+    def _operators(self, table_graph, edge_types: list[str], dtype,
+                   fanout: int, use_sampling: bool, tracer: Tracer):
+        """``(plan, None)`` for full-graph training, ``(None, sampler)``
+        for sampled training.
+
+        The full-graph plan compiles every constant sparse operator and
+        its transpose once, so the epoch loop runs conversion-free.  In
+        sampled mode the normalized adjacencies are frozen into the
+        sampler's CSR arrays and no plan is compiled.
+        """
+        with tracer.span("plan"):
+            adjacencies = column_adjacencies(table_graph,
+                                             normalization="row",
+                                             edge_types=edge_types)
+            if not use_sampling:
+                return MessagePassingPlan(adjacencies, dtype=dtype), None
+        with tracer.span("freeze"):
+            return None, NeighborSampler(
+                FrozenGraph.freeze(adjacencies, dtype=dtype), fanout=fanout)
+
+    def _train_loop(self, model: GrimpModel, epoch_loss, validation_groups,
+                    epochs: int, tracer: Tracer) -> None:
+        """The epoch loop shared by both training paths: trains
+        ``model`` in place and leaves it at the state with the best
+        validation loss; the optimizer state dies on return.
+
+        ``epoch_loss(optimizer, epoch)`` trains one epoch and returns
+        its loss (a full-graph epoch is one
+        :func:`~repro.core.step.step` over every task; a sampled epoch
+        one step per batch); ``validation_groups()`` gives the groups
+        :meth:`_validate` scores.
+        """
+        optimizer = Adam(model.parameters(), lr=self.config.lr)
+        stopper = EarlyStopping(patience=self.config.patience)
         best_state = model.state_dict()
         best_validation = float("inf")
-        train_parts = _parts(train_data)
-        graph_validation = [(1, [(1, adjacencies, feature_tensor,
-                                  _parts(validation_data))])] \
-            if validation_data else []
         with tracer.span("train"):
-            # A table with no observed cell has no training sample: run
-            # no epoch, so the fill leaves every cell missing.
-            for epoch in range(config.epochs if train_parts else 0):
+            for epoch in range(epochs):
                 model.train()
                 with tracer.span("epoch", epoch=epoch) as epoch_span:
-                    if sampler is not None:
-                        epoch_loss = self._sampled_epoch(
-                            model, optimizer, sampler, feature_tensor,
-                            train_data, iterator, epoch, null_index,
-                            tracer)
-                    else:
-                        epoch_loss = step(model, optimizer, adjacencies,
-                                          feature_tensor, train_parts,
-                                          config.categorical_loss, tracer)
-
+                    loss = epoch_loss(optimizer, epoch)
                     with tracer.span("validate"):
-                        groups = graph_validation if sampler is None \
-                            else self._sampled_validation(
-                                model, sampler, feature_tensor,
-                                validation_data, null_index)
-                        validation_loss = self._validate(model, groups)
-                    epoch_span.set(train_loss=epoch_loss,
+                        validation_loss = self._validate(
+                            model, validation_groups())
+                    epoch_span.set(train_loss=loss,
                                    validation_loss=validation_loss)
                 self.history_.append({
                     "epoch": epoch,
-                    "train_loss": epoch_loss,
+                    "train_loss": loss,
                     "validation_loss": validation_loss,
                 })
                 metric = validation_loss \
-                    if np.isfinite(validation_loss) else epoch_loss
+                    if np.isfinite(validation_loss) else loss
                 if metric < best_validation:
                     best_validation = metric
                     best_state = model.state_dict()
                 if stopper.update(metric, epoch):
                     break
-        return best_state
+        model.load_state_dict(best_state)
 
     def _validate(self, model: GrimpModel, groups) -> float:
         """Validation loss: the sum over tasks of each task's mean loss.
@@ -456,32 +503,6 @@ class GrimpImputer(Imputer):
         return load_imputer(path)
 
     # ------------------------------------------------------------------
-    def _task_data(self, table: Table, table_graph, encoders: TableEncoder,
-                   samples, node_matrix: np.ndarray | None = None,
-                   gather_rows: int | None = None,
-                   dtype=np.float64) -> dict[str, _TaskData]:
-        grouped = samples_by_task(samples, table.column_names)
-        data: dict[str, _TaskData] = {}
-        for column, task_samples in grouped.items():
-            if not task_samples:
-                continue
-            indices = build_sample_indices(table, table_graph, task_samples,
-                                           node_matrix=node_matrix)
-            if table.is_categorical(column):
-                targets = np.array(
-                    [encoders[column].encode(sample.target_value)
-                     for sample in task_samples], dtype=np.int64)
-            else:
-                targets = np.array(
-                    [float(sample.target_value) for sample in task_samples],
-                    dtype=dtype)
-            gather = build_gather_operator(indices, gather_rows,
-                                           dtype=dtype) \
-                if gather_rows is not None else None
-            data[column] = _TaskData(indices, targets, gather=gather)
-        return data
-
-    # ------------------------------------------------------------------
     # Sampled training (repro.sampling): each step runs message passing
     # over a compact sampled subgraph instead of the whole graph, so
     # per-step activation memory scales with the batch neighborhood,
@@ -490,7 +511,7 @@ class GrimpImputer(Imputer):
     # ------------------------------------------------------------------
     def _sampled_epoch(self, model: GrimpModel, optimizer: Adam,
                        sampler: NeighborSampler, feature_tensor: Tensor,
-                       data: dict[str, _TaskData],
+                       data: dict[str, _TaskData], node_matrix: np.ndarray,
                        iterator: MinibatchIterator, epoch: int,
                        null_index: int, tracer: Tracer) -> float:
         """One epoch of neighbor-sampled minibatch steps.
@@ -509,7 +530,8 @@ class GrimpImputer(Imputer):
             task_data = data[column]
             with tracer.span("batch"):
                 operators, features, local = sampled_inputs(
-                    sampler, n_layers, feature_tensor, task_data.indices[rows],
+                    sampler, n_layers, feature_tensor,
+                    task_data.indices(node_matrix, null_index, rows),
                     null_index, np.random.default_rng(seed), tracer)
                 loss = step(model, optimizer, operators, features,
                             [(column, local, None, task_data.targets[rows])],
@@ -524,21 +546,20 @@ class GrimpImputer(Imputer):
                         seed_root: np.random.SeedSequence):
         """The chunk generator of sampled validation and fill.
 
-        Returns ``chunks(indices)``, which walks an index matrix in
-        ``batch_size`` chunks — sample -> plan -> local indices — and
-        yields ``(chunk, operators, features, local_indices)``.  Chunk
-        seeds spawn from ``seed_root`` in visit order, so a fixed root
-        replays the identical subgraphs.
+        Returns ``chunks(n, take)``, which walks ``n`` index rows in
+        ``batch_size`` chunks — ``take(chunk)`` -> sample -> plan ->
+        local indices — and yields ``(chunk, operators, features,
+        local_indices)``.  Chunk seeds spawn from ``seed_root`` in visit
+        order, so a fixed root replays the identical subgraphs.
         """
         silent = Tracer()
         n_layers = model.shared.gnn.n_layers
 
-        def chunks(indices: np.ndarray):
-            for chunk in contiguous_batches(indices.shape[0],
-                                            self.config.batch_size):
+        def chunks(n: int, take):
+            for chunk in contiguous_batches(n, self.config.batch_size):
                 (chunk_seed,) = seed_root.spawn(1)
                 yield (chunk, *sampled_inputs(
-                    sampler, n_layers, feature_tensor, indices[chunk],
+                    sampler, n_layers, feature_tensor, take(chunk),
                     null_index, np.random.default_rng(chunk_seed), silent,
                     build_backward=False))
 
@@ -546,7 +567,8 @@ class GrimpImputer(Imputer):
 
     def _sampled_validation(self, model: GrimpModel,
                             sampler: NeighborSampler, feature_tensor: Tensor,
-                            data: dict[str, _TaskData], null_index: int):
+                            data: dict[str, _TaskData],
+                            node_matrix: np.ndarray, null_index: int):
         """Sampled validation groups for :meth:`_validate`.
 
         Seeds derive from a fixed root (not the training schedule), so
@@ -558,8 +580,11 @@ class GrimpImputer(Imputer):
             np.random.SeedSequence([self.config.seed, 0x56A1]))
 
         def task_chunks(column: str, task_data: _TaskData):
-            for chunk, operators, features, local in chunks(
-                    task_data.indices):
+            def take(chunk):
+                return task_data.indices(node_matrix, null_index, chunk)
+
+            for chunk, operators, features, local in chunks(task_data.n,
+                                                            take):
                 yield chunk.size, operators, features, [
                     (column, local, None, task_data.targets[chunk])]
 
@@ -582,7 +607,8 @@ class GrimpImputer(Imputer):
 
         def predict(column: str, indices: np.ndarray) -> np.ndarray:
             outputs = []
-            for _, operators, features, local in chunks(indices):
+            for _, operators, features, local in chunks(
+                    indices.shape[0], indices.__getitem__):
                 h_extended = model.node_representations(operators,
                                                         features)
                 vectors = model.training_vectors(h_extended, local)
@@ -592,10 +618,47 @@ class GrimpImputer(Imputer):
         return predict
 
 
-def _parts(data: dict[str, _TaskData]) -> list[tuple]:
-    """Every task's ``(column, indices, gather, targets)`` step part."""
-    return [(column, task_data.indices, task_data.gather, task_data.targets)
-            for column, task_data in data.items()]
+def _task_data(table: Table, encoders: TableEncoder, samples,
+               dtype) -> dict[str, _TaskData]:
+    """Group ``samples`` by task into :class:`_TaskData` arrays; tasks
+    without samples are left out."""
+    data: dict[str, _TaskData] = {}
+    grouped = samples_by_task(samples, table.column_names)
+    for position, (column, task_samples) in enumerate(grouped.items()):
+        if not task_samples:
+            continue
+        rows = np.fromiter((sample.row for sample in task_samples),
+                           dtype=np.int64, count=len(task_samples))
+        if table.is_categorical(column):
+            targets = np.array(
+                [encoders[column].encode(sample.target_value)
+                 for sample in task_samples], dtype=np.int64)
+        else:
+            targets = np.array(
+                [float(sample.target_value) for sample in task_samples],
+                dtype=dtype)
+        data[column] = _TaskData(rows, position, targets)
+    return data
+
+
+def _held_out_cells(data: dict[str, _TaskData]) -> set[tuple[int, str]]:
+    """The ``(row, column)`` cells of every sample in ``data``."""
+    return {(row, column) for column, task_data in data.items()
+            for row in task_data.rows.tolist()}
+
+
+def _graph_parts(data: dict[str, _TaskData], node_matrix: np.ndarray,
+                 null_index: int, dtype) -> list[tuple]:
+    """Every task's full-graph step part ``(column, indices, gather,
+    targets)``, its gather operator compiled once."""
+    parts = []
+    for column, task_data in data.items():
+        indices = task_data.indices(node_matrix, null_index)
+        parts.append((column, indices,
+                      build_gather_operator(indices, null_index + 1,
+                                            dtype=dtype),
+                      task_data.targets))
+    return parts
 
 
 def _graph_predict(model: GrimpModel, adjacencies,

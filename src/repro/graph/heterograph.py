@@ -11,6 +11,8 @@ adjacency, following the paper.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 from scipy import sparse
 
@@ -25,15 +27,16 @@ class HeteroGraph:
     """Typed multigraph over RID and cell nodes.
 
     Nodes are dense integers.  Edges are grouped by type (one type per
-    table attribute) and stored as undirected pairs; adjacency matrices
-    materialize both directions.
+    table attribute) and stored as undirected pairs, flat in one int64
+    array per type (``u0, v0, u1, v1, ...``: 16 bytes an edge instead
+    of a tuple object); adjacency matrices materialize both directions.
     """
 
     def __init__(self):
         self._node_kind: list[str] = []
         self._node_label: list[tuple] = []
         self._node_index: dict[tuple, int] = {}
-        self._edges: dict[str, list[tuple[int, int]]] = {}
+        self._edges: dict[str, array] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -58,7 +61,11 @@ class HeteroGraph:
         n = self.n_nodes
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) references unknown nodes")
-        self._edges.setdefault(edge_type, []).append((u, v))
+        pairs = self._edges.get(edge_type)
+        if pairs is None:
+            pairs = self._edges[edge_type] = array("q")
+        pairs.append(u)
+        pairs.append(v)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -76,8 +83,8 @@ class HeteroGraph:
     def n_edges(self, edge_type: str | None = None) -> int:
         """Number of undirected edges, optionally of one type."""
         if edge_type is not None:
-            return len(self._edges.get(edge_type, []))
-        return sum(len(pairs) for pairs in self._edges.values())
+            return len(self._edges.get(edge_type, ())) // 2
+        return sum(len(pairs) for pairs in self._edges.values()) // 2
 
     def node_kind(self, node: int) -> str:
         """Kind (``"rid"`` or ``"cell"``) of a node."""
@@ -97,20 +104,14 @@ class HeteroGraph:
                 if self._node_kind[node] == kind]
 
     def edges(self, edge_type: str) -> list[tuple[int, int]]:
-        """Undirected edge list of one type (copies are cheap views)."""
-        return list(self._edges.get(edge_type, []))
+        """Undirected edge list of one type, as ``(u, v)`` pairs."""
+        pairs = self._edges.get(edge_type, ())
+        return list(zip(pairs[0::2], pairs[1::2]))
 
     def degree(self, node: int, edge_type: str | None = None) -> int:
         """Number of incident edge endpoints for ``node``."""
         types = [edge_type] if edge_type is not None else self.edge_types
-        total = 0
-        for name in types:
-            for u, v in self._edges.get(name, []):
-                if u == node:
-                    total += 1
-                if v == node:
-                    total += 1
-        return total
+        return sum(self._edges.get(name, ()).count(node) for name in types)
 
     # ------------------------------------------------------------------
     # Adjacency materialization
@@ -131,10 +132,10 @@ class HeteroGraph:
         self-loop (or an all-zero row when ``self_loops`` is false) so
         message passing never divides by zero.
         """
-        pairs = self._edges.get(edge_type, [])
+        pairs = self._edges.get(edge_type)
         n = self.n_nodes
         if pairs:
-            u, v = np.array(pairs, dtype=np.int64).T
+            u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
             rows = np.concatenate([u, v])
             cols = np.concatenate([v, u])
         else:

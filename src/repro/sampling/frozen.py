@@ -76,8 +76,10 @@ class FrozenGraph:
             elif forward.shape[0] != n_nodes:
                 raise ValueError("adjacency shapes disagree across edge "
                                  "types")
-            indptr = np.ascontiguousarray(forward.indptr, dtype=np.int64)
-            indices = np.ascontiguousarray(forward.indices, dtype=np.int64)
+            # Index arrays keep the matrix's own (scipy-chosen) dtype:
+            # int32 unless the graph needs int64.
+            indptr = np.ascontiguousarray(forward.indptr)
+            indices = np.ascontiguousarray(forward.indices)
             weights = np.ascontiguousarray(forward.data, dtype=resolved)
             csr[edge_type] = (indptr, indices, weights,
                               cls._search_keys(indptr, weights))

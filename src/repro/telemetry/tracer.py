@@ -30,6 +30,7 @@ import os
 import threading  # repro: noqa[RPR004] -- tracer state is thread-local by design; sanctioned lock owner
 import time
 from collections import deque
+from types import MappingProxyType
 
 __all__ = ["Span", "Tracer", "current_tracer", "enabled", "set_enabled",
            "span", "detail_span", "NO_OP_SPAN"]
@@ -40,6 +41,10 @@ TELEMETRY_ENV = "REPRO_TELEMETRY"
 _ENABLED = os.environ.get(TELEMETRY_ENV, "") not in ("", "0", "false")
 
 _ACTIVE = threading.local()
+
+#: The attrs of every span nothing has been attached to: one shared,
+#: read-only mapping instead of an empty dict per retained span.
+_NO_ATTRS = MappingProxyType({})
 
 
 def enabled() -> bool:
@@ -74,7 +79,9 @@ class Span:
         Seconds relative to the tracer's epoch / wall seconds spent.
     attrs:
         Free-form JSON-able key/value payload (loss values, batch sizes,
-        edge types, ...), set at creation or via :meth:`set`.
+        edge types, ...), set at creation or via :meth:`set`/:meth:`add`.
+        Until one of those writes, it is a shared read-only empty
+        mapping.
     status:
         ``"ok"``, or ``"error"`` when the region raised; ``error`` then
         holds the exception type name.
@@ -91,7 +98,7 @@ class Span:
         self.parent_id = parent_id
         self.name = name
         self.path = path
-        self.attrs = attrs or {}
+        self.attrs = attrs or _NO_ATTRS
         self.start = 0.0
         self.duration = 0.0
         self.status = "ok"
@@ -99,14 +106,21 @@ class Span:
         self._tracer = tracer
         self._t0 = 0.0
 
+    def _own_attrs(self) -> dict:
+        if self.attrs is _NO_ATTRS:
+            self.attrs = {}
+        return self.attrs
+
     def set(self, **attrs) -> "Span":
         """Attach attributes to the span (chainable)."""
-        self.attrs.update(attrs)
+        if attrs:
+            self._own_attrs().update(attrs)
         return self
 
     def add(self, key: str, amount: float = 1.0) -> None:
         """Accumulate a numeric attribute (a per-span counter)."""
-        self.attrs[key] = self.attrs.get(key, 0) + amount
+        attrs = self._own_attrs()
+        attrs[key] = attrs.get(key, 0) + amount
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Span":
@@ -188,6 +202,9 @@ class Tracer:
         self._aggregate: dict[str, list] = {}   # path -> [seconds, count, errors]
         self._dropped = 0
         self._open = 0
+        #: ``(parent path, name) -> path``: spans sharing a path share
+        #: one string instead of each formatting its own.
+        self._paths: dict[tuple[str, str], str] = {}
 
     # ------------------------------------------------------------------
     # Span creation / bookkeeping
@@ -198,6 +215,16 @@ class Tracer:
             stack = []
             self._stacks.stack = stack
         return stack
+
+    def _path(self, stack: list, name: str) -> str:
+        """The interned path of span ``name`` under ``stack``."""
+        if not stack:
+            return name
+        key = (stack[-1].path, name)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths.setdefault(key, f"{key[0]}/{name}")
+        return path
 
     def span(self, name: str, **attrs) -> Span:
         """Open a span under this thread's current nesting.
@@ -212,13 +239,8 @@ class Tracer:
             raise ValueError("span names must not contain '/'; nesting "
                              "builds compound paths")
         stack = self._stack()
-        if stack:
-            parent = stack[-1]
-            parent_id: int | None = parent.span_id
-            path = f"{parent.path}/{name}"
-        else:
-            parent_id = None
-            path = name
+        parent_id = stack[-1].span_id if stack else None
+        path = self._path(stack, name)
         with self._lock:
             span_id = next(self._ids)
         return Span(self, span_id, parent_id, name, path, attrs)
@@ -272,12 +294,8 @@ class Tracer:
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
         stack = self._stack()
-        if stack:
-            parent_id: int | None = stack[-1].span_id
-            path = f"{stack[-1].path}/{name}"
-        else:
-            parent_id = None
-            path = name
+        parent_id = stack[-1].span_id if stack else None
+        path = self._path(stack, name)
         with self._lock:
             span_id = next(self._ids)
         span = Span(self, span_id, parent_id, name, path, attrs)

@@ -311,6 +311,14 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        Gradient retention follows PyTorch's default: afterwards only
+        this tensor (the root) and the leaves (tensors created with
+        ``requires_grad=True``, e.g. parameters) hold a ``.grad``.  An
+        intermediate node's gradient is dropped as soon as its backward
+        closure has run, together with the closure and its parent links,
+        so the step's peak memory holds one frontier of gradients
+        rather than all of them.
+
         Parameters
         ----------
         grad:
@@ -357,9 +365,14 @@ class Tensor:
                 for parent in parents:
                     if parent.grad is not None:
                         _anomaly_check(parent.grad, node.op, "backward")
-            # Free intermediate gradients/graph to bound memory use.
+            # Release the tape as it is walked: the closure, the parent
+            # links and, for every non-root node, the gradient, which
+            # nothing reads once its closure has run.  Leaves (no
+            # closure) and the root keep theirs.
             node._backward = None
             node._parents = ()
+            if node is not self:
+                node.grad = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

@@ -50,6 +50,14 @@ def test_smoke_bench_runs_and_emits_json(tmp_path):
                                                      "transpose": 0}
     assert report["train_conversions"]["plan32"] == {"tocsr": 0,
                                                      "transpose": 0}
+    # Backward releases the tape as it walks it: the whole plan32
+    # impute() peaks inside the committed memory bound.
+    manifest = json.loads(
+        (tmp_path / "BENCH_hotpath_manifest.json").read_text())
+    baseline = json.loads((REPO_ROOT / "benchmarks" / "baselines"
+                           / "hotpath.json").read_text())
+    assert manifest["metrics"]["mem.peak_mb.plan32"] \
+        <= baseline["rules"]["mem.peak_mb.plan32"]["max"]
 
 
 def test_smoke_embed_bench_runs_and_emits_json(tmp_path):

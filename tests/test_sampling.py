@@ -546,6 +546,22 @@ class TestSampledTraining:
         repeat_history, repeat_cells = run()
         assert repeat_history == history and repeat_cells == cells
 
+    def test_checkpoint_round_trip_imputes_new_rows_identically(
+            self, tmp_path):
+        """A sampled fit builds its fill/checkpoint plan after training,
+        for inference only; a reloaded checkpoint imputes new rows
+        exactly as the fitted imputer does."""
+        imputer = GrimpImputer(SAMPLED)
+        imputer.impute(self.corruption().dirty)
+        plan = imputer._artifacts.adjacencies
+        assert not any(plan[edge_type].has_backward for edge_type in plan)
+        imputer.save_checkpoint(tmp_path / "sampled")
+        loaded = GrimpImputer.from_checkpoint(tmp_path / "sampled")
+        new_rows = inject_mcar(structured_table(n_rows=25, seed=3), 0.3,
+                               np.random.default_rng(4)).dirty
+        assert loaded.impute_new_rows(new_rows).to_rows() == \
+            imputer.impute_new_rows(new_rows).to_rows()
+
     def test_sampled_phase_spans_recorded(self):
         imputer = GrimpImputer(SAMPLED)
         imputer.impute(self.corruption().dirty)

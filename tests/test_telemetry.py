@@ -6,6 +6,7 @@ round-trip rendering identically to the live tracer, plan-cache
 counter correctness, and run-manifest schema validation.
 """
 
+import itertools
 import json
 import threading
 
@@ -139,6 +140,118 @@ class TestExceptionSafety:
         inner.__enter__()
         with pytest.raises(RuntimeError, match="out of order"):
             tracer._exit(outer)
+
+
+class _TickClock:
+    """Stands in for the tracer's ``time`` module: ``perf_counter``
+    advances 0.25 s per call, ``time`` is fixed."""
+
+    def __init__(self):
+        self._ticks = itertools.count()
+
+    def perf_counter(self):
+        return next(self._ticks) * 0.25
+
+    def time(self):
+        return 1700000000.0
+
+
+#: ``render_tree`` and ``write_jsonl`` output of :func:`_scripted_trace`
+#: as produced before spans shared their paths and empty attrs.
+GOLDEN_TREE = (
+    'fit                                            7000.00 ms  [rows=3]\n'
+    '├─ corpus                                       250.00 ms\n'
+    '├─ train                                       5250.00 ms\n'
+    '│  └─ epoch                                    4500.00 ms  x2  [epoch=1, train_loss=0.25]\n'
+    '│     └─ batch                                 3000.00 ms  x4  [steps=1]\n'
+    '│        └─ forward                            1000.00 ms  x4\n'
+    '├─ sgns                                        1500.00 ms  [shards=2]\n'
+    '└─ fill                                         250.00 ms  errors=1')
+GOLDEN_JSONL = (
+    '{"type": "run", "schema": "repro.trace-events/1", "created_unix": 1700000000.0, "dropped_spans": 0, "run": {"kind": "test"}}\n'
+    '{"type": "span", "id": 2, "parent": 1, "name": "corpus", "path": "fit/corpus", "start": 0.5, "duration": 0.25, "status": "ok"}\n'
+    '{"type": "span", "id": 6, "parent": 5, "name": "forward", "path": "fit/train/epoch/batch/forward", "start": 1.75, "duration": 0.25, "status": "ok"}\n'
+    '{"type": "span", "id": 5, "parent": 4, "name": "batch", "path": "fit/train/epoch/batch", "start": 1.5, "duration": 0.75, "status": "ok", "attrs": {"steps": 1.0}}\n'
+    '{"type": "span", "id": 8, "parent": 7, "name": "forward", "path": "fit/train/epoch/batch/forward", "start": 2.75, "duration": 0.25, "status": "ok"}\n'
+    '{"type": "span", "id": 7, "parent": 4, "name": "batch", "path": "fit/train/epoch/batch", "start": 2.5, "duration": 0.75, "status": "ok", "attrs": {"steps": 1.0}}\n'
+    '{"type": "span", "id": 4, "parent": 3, "name": "epoch", "path": "fit/train/epoch", "start": 1.25, "duration": 2.25, "status": "ok", "attrs": {"epoch": 0, "train_loss": 0.5}}\n'
+    '{"type": "span", "id": 11, "parent": 10, "name": "forward", "path": "fit/train/epoch/batch/forward", "start": 4.25, "duration": 0.25, "status": "ok"}\n'
+    '{"type": "span", "id": 10, "parent": 9, "name": "batch", "path": "fit/train/epoch/batch", "start": 4.0, "duration": 0.75, "status": "ok", "attrs": {"steps": 1.0}}\n'
+    '{"type": "span", "id": 13, "parent": 12, "name": "forward", "path": "fit/train/epoch/batch/forward", "start": 5.25, "duration": 0.25, "status": "ok"}\n'
+    '{"type": "span", "id": 12, "parent": 9, "name": "batch", "path": "fit/train/epoch/batch", "start": 5.0, "duration": 0.75, "status": "ok", "attrs": {"steps": 1.0}}\n'
+    '{"type": "span", "id": 9, "parent": 3, "name": "epoch", "path": "fit/train/epoch", "start": 3.75, "duration": 2.25, "status": "ok", "attrs": {"epoch": 1, "train_loss": 0.25}}\n'
+    '{"type": "span", "id": 3, "parent": 1, "name": "train", "path": "fit/train", "start": 1.0, "duration": 5.25, "status": "ok"}\n'
+    '{"type": "span", "id": 14, "parent": 1, "name": "sgns", "path": "fit/sgns", "start": 6.5, "duration": 1.5, "status": "ok", "attrs": {"shards": 2}}\n'
+    '{"type": "span", "id": 15, "parent": 1, "name": "fill", "path": "fit/fill", "start": 6.75, "duration": 0.25, "status": "error", "error": "KeyError"}\n'
+    '{"type": "span", "id": 1, "parent": null, "name": "fit", "path": "fit", "start": 0.25, "duration": 7.0, "status": "ok", "attrs": {"rows": 3}}\n')
+
+
+def _scripted_trace() -> Tracer:
+    tracer = Tracer()
+    with tracer.span("fit", rows=3):
+        with tracer.span("corpus"):
+            pass
+        with tracer.span("train"):
+            for epoch in range(2):
+                with tracer.span("epoch", epoch=epoch) as span:
+                    for _ in range(2):
+                        with tracer.span("batch") as batch:
+                            batch.add("steps")
+                            with tracer.span("forward"):
+                                pass
+                    span.set(train_loss=0.5 / (epoch + 1))
+        tracer.record("sgns", 1.5, count=3, shards=2)
+        try:
+            with tracer.span("fill"):
+                raise KeyError("x")
+        except KeyError:
+            pass
+    return tracer
+
+
+class TestCompactSpans:
+    def test_set_and_add_stay_on_their_span(self):
+        tracer = Tracer()
+        with tracer.span("a") as first:
+            pass
+        with tracer.span("b") as second, tracer.span("c") as third:
+            second.set(loss=1.0)
+            third.add("steps")
+            third.add("steps", 2)
+        with tracer.span("d") as fourth:
+            fourth.set()
+        assert first.attrs == {}
+        assert second.attrs == {"loss": 1.0}
+        assert third.attrs == {"steps": 3}
+        assert fourth.attrs == {}
+        fresh = tracer.span("e")
+        assert fresh.attrs == {}
+        assert "loss" not in fresh.attrs and "steps" not in fresh.attrs
+
+    def test_empty_attrs_are_read_only(self):
+        span = Tracer().span("a")
+        with pytest.raises(TypeError):
+            span.attrs["x"] = 1
+
+    def test_spans_sharing_a_path_share_its_string(self):
+        tracer = Tracer()
+        with tracer.span("fit"):
+            for _ in range(3):
+                with tracer.span("batch"):
+                    pass
+        batches = [span for span in tracer.spans() if span.name == "batch"]
+        assert [span.path for span in batches] == ["fit/batch"] * 3
+        assert all(span.path is batches[0].path for span in batches)
+
+    def test_tree_and_jsonl_output_unchanged(self, tmp_path, monkeypatch):
+        from repro.telemetry import tracer as tracer_module
+        monkeypatch.setattr(tracer_module, "time", _TickClock())
+        tracer = _scripted_trace()
+        assert render_tree(tracer.spans()) == GOLDEN_TREE
+        path = write_jsonl(tracer, tmp_path / "trace.jsonl",
+                           run={"kind": "test"})
+        assert path.read_text() == GOLDEN_JSONL
+        assert render_tree(replay(read_events(path))) == GOLDEN_TREE
 
 
 class TestAggregation:

@@ -1,5 +1,7 @@
 """Edge-case and numerical-robustness tests for the autograd engine."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.tensor import (
     softmax,
     gradcheck,
     no_grad,
+    numeric_gradient,
 )
 
 
@@ -130,6 +133,92 @@ class TestGraphSemantics:
         loss = mse_loss(predictions, np.zeros((3, 1)))
         loss.backward()
         assert np.allclose(predictions.grad, 2.0 / 3.0)
+
+
+def _reachable(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``root`` through recorded parents."""
+    seen: dict[int, Tensor] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestTapeRelease:
+    """Gradient retention: only the root and the leaves keep ``.grad``."""
+
+    @staticmethod
+    def _loss(x, w, b):
+        hidden = (x @ w + b).tanh()
+        # ``hidden`` feeds two consumers, so its gradient accumulates
+        # from both before its own closure runs.
+        return (hidden * hidden).sum() + log_softmax(hidden).mean()
+
+    def _graph(self):
+        rng = np.random.default_rng(3)
+        leaves = (Tensor(rng.standard_normal((5, 4)), requires_grad=True),
+                  Tensor(rng.standard_normal((4, 3)), requires_grad=True),
+                  Tensor(rng.standard_normal(3), requires_grad=True))
+        return leaves, self._loss(*leaves)
+
+    def test_non_leaf_gradients_released(self):
+        leaves, loss = self._graph()
+        nodes = _reachable(loss)
+        intermediates = [node for node in nodes
+                         if node._backward is not None and node is not loss]
+        assert len(intermediates) >= 5
+        loss.backward()
+        assert all(node.grad is None for node in intermediates)
+        assert all(node._parents == () for node in nodes)
+
+    def test_root_and_leaves_keep_gradients(self):
+        leaves, loss = self._graph()
+        loss.backward()
+        assert loss.grad is not None and loss.grad == pytest.approx(1.0)
+        for leaf in leaves:
+            assert leaf.grad is not None
+            assert leaf.grad.shape == leaf.shape
+        # The released tape still delivers the full chain rule to the
+        # leaves: each matches its central-difference gradient.
+        for index, leaf in enumerate(leaves):
+            numeric = numeric_gradient(self._loss, leaves, index)
+            np.testing.assert_allclose(leaf.grad, numeric, rtol=1e-4,
+                                       atol=1e-6)
+
+    def test_leaf_gradients_exact(self):
+        a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        b = Tensor(np.array([0.5, 4.0, -1.5]), requires_grad=True)
+        ((a * b) + a).sum().backward()
+        np.testing.assert_array_equal(a.grad, b.data + 1.0)
+        np.testing.assert_array_equal(b.grad, a.data)
+
+    def test_intermediate_gradient_freed_during_backward(self):
+        """An intermediate's gradient array is freed as soon as its
+        closure has run, not when backward returns: a closure that runs
+        later finds it gone."""
+        a = Tensor(np.ones((3, 3)), requires_grad=True)
+        early = a * 1.0  # an ancestor of ``hidden``: its closure runs later
+        hidden = early * 2.0
+        loss = (hidden * 3.0).sum()
+        hidden_backward, early_backward = hidden._backward, early._backward
+        probes, seen = [], []
+
+        def capture(grad):
+            probes.append(weakref.ref(grad))
+            hidden_backward(grad)
+
+        def check(grad):
+            seen.append(probes[0]())
+            early_backward(grad)
+
+        hidden._backward, early._backward = capture, check
+        loss.backward()
+        assert len(probes) == 1 and seen == [None]
+        np.testing.assert_array_equal(a.grad, np.full((3, 3), 6.0))
 
 
 class TestSoftmaxAxes:
