@@ -3,15 +3,15 @@
 Three engines, all dependency-free (see ``docs/static-analysis.md``):
 
 * the **lint engine** (:mod:`~repro.analysis.engine`,
-  :mod:`~repro.analysis.rules`) — rules ``RPR001``–``RPR010`` for
+  :mod:`~repro.analysis.rules`) — rules ``RPR001``–``RPR009`` for
   project invariants no generic linter knows (float32 hot path, gated
-  telemetry, serve-only threading, seeded model code), with
-  per-line ``repro: noqa`` suppressions and JSON reports, plus the
-  interprocedural passes (:mod:`~repro.analysis.summaries`,
+  telemetry, serve-only threads and one process, seeded model code),
+  with per-line ``repro: noqa`` suppressions and JSON reports, plus
+  the interprocedural passes (:mod:`~repro.analysis.summaries`,
   :mod:`~repro.analysis.callgraph`, :mod:`~repro.analysis.taint`)
-  behind rules ``RPR007``–``RPR010`` (fork safety, shared-memory write
-  safety, RNG provenance, resource lifecycle) and the incremental
-  lint cache (:mod:`~repro.analysis.cache`);
+  behind rules ``RPR007``–``RPR009`` (fork safety, shared-memory write
+  safety, RNG provenance) and the incremental lint cache
+  (:mod:`~repro.analysis.cache`);
 * the **graph checker** (:mod:`~repro.analysis.graphcheck`) — abstract
   shape/dtype interpretation over message-passing plans, module trees,
   and checkpoint manifests, without running a forward pass;

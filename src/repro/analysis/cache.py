@@ -36,7 +36,7 @@ CACHE_ENV = "REPRO_LINT_CACHE"
 
 #: Format/behavior version folded into every key.  Bump when a rule's
 #: behavior, the summary format, or the entry layout changes.
-CACHE_VERSION = "repro.lint-cache/1"
+CACHE_VERSION = "repro.lint-cache/2"
 
 
 def resolve_cache_dir(cache_dir: str | os.PathLike | None = None

@@ -79,8 +79,8 @@ class Project:
                 current = self.aliases[current]
                 continue
             # Try rewriting the longest importable prefix: resolving
-            # ``repro.parallel.ShardPool.map`` needs the ``ShardPool``
-            # prefix chased to ``repro.parallel.pool.ShardPool`` first.
+            # ``pkg.Cls.method`` needs the ``pkg.Cls`` prefix chased
+            # through the package re-export to ``pkg.module.Cls`` first.
             head, sep, tail = current.rpartition(".")
             if not sep:
                 break

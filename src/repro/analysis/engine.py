@@ -34,10 +34,10 @@ __all__ = ["Finding", "LintContext", "Rule", "ProjectRule", "register",
            "lint_sources", "lint_file", "lint_paths", "render_text",
            "render_github", "report_json", "LINT_SCHEMA", "in_package",
            "HOT_PACKAGES", "MODEL_PACKAGES", "DTYPE_PACKAGES",
-           "SERVE_PACKAGE", "CONCURRENCY_PACKAGES"]
+           "SERVE_PACKAGE"]
 
 #: Schema marker written into every JSON lint report.  ``/2`` added the
-#: interprocedural rules (RPR007–RPR010) and the ``cache`` block.
+#: interprocedural rules and the ``cache`` block.
 LINT_SCHEMA = "repro.lint-report/2"
 
 #: Packages forming the training hot path: every op here runs inside
@@ -55,19 +55,15 @@ MODEL_PACKAGES = HOT_PACKAGES + ("repro.graph", "repro.core",
 
 #: Packages that must allocate in the engine default dtype (RPR001).
 #: Wider than the epoch-loop hot path: the embedding pre-compute, the
-#: parallel kernels, and the subgraph sampler feed their arrays
+#: seed tree, and the subgraph sampler feed their arrays
 #: straight into training, so a float64 allocation there promotes the
 #: whole feature matrix (sampling's float64 search keys carry a noqa).
 DTYPE_PACKAGES = HOT_PACKAGES + ("repro.embeddings", "repro.parallel",
                                  "repro.sampling")
 
-#: The one package allowed to use raw *thread* concurrency primitives.
+#: The one package allowed to use raw *thread* concurrency primitives
+#: (RPR004); no package may use process primitives.
 SERVE_PACKAGE = "repro.serve"
-
-#: Packages sanctioned to own concurrency primitives (RPR004):
-#: ``repro.serve`` for threads, ``repro.parallel`` for process pools
-#: and shared memory.  Everything else describes shards and delegates.
-CONCURRENCY_PACKAGES = (SERVE_PACKAGE, "repro.parallel")
 
 _NOQA = re.compile(
     r"#\s*repro:\s*noqa"
@@ -170,7 +166,7 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """Base class for interprocedural rules (``RPR007``–``RPR010``).
+    """Base class for interprocedural rules (``RPR007``–``RPR009``).
 
     A project rule runs once over the *linked* repository — the
     :class:`~repro.analysis.callgraph.Project` built from every file's

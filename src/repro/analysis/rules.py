@@ -16,7 +16,6 @@ from __future__ import annotations
 import ast
 
 from .engine import (
-    CONCURRENCY_PACKAGES,
     DTYPE_PACKAGES,
     HOT_PACKAGES,
     MODEL_PACKAGES,
@@ -31,8 +30,7 @@ from .engine import (
 
 __all__ = ["Float64Drift", "GradDropped", "UngatedTelemetry",
            "RawThreading", "Nondeterminism", "BareExcept",
-           "ForkUnsafeThreading", "SharedWriteSafety", "RngProvenance",
-           "ResourceLifecycle"]
+           "ForkUnsafeThreading", "SharedWriteSafety", "RngProvenance"]
 
 _NUMPY_NAMES = ("np", "numpy")
 
@@ -213,35 +211,30 @@ class UngatedTelemetry(Rule):
 
 @register
 class RawThreading(Rule):
-    """RPR004 — raw concurrency primitives outside the sanctioned owners."""
+    """RPR004 — thread primitives outside repro.serve; process
+    primitives anywhere."""
 
     code = "RPR004"
-    title = "raw concurrency primitives outside repro.serve/repro.parallel"
+    title = "threads outside repro.serve, or processes in any package"
     severity = "error"
     rationale = (
-        "Concurrency invariants concentrate where they can be audited: "
-        "repro.serve owns the thread side (engine lock -> batcher state "
-        "lock; never hold a lock across a blocking wait), while the "
-        "process side — lifecycle, shared-memory lifetime, supervision "
-        "— lives in repro.parallel (pools). "
-        "Threading or multiprocessing sprinkled through model or data "
-        "code cannot be audited against those rules — other packages "
-        "describe shards and hand them to repro.parallel.ShardPool "
-        "(repro.sampling is the template: its minibatch schedule takes "
-        "seeds from repro.parallel.spawn_seeds but owns no pool, which "
-        "is exactly why its batch order is worker-count independent). "
-        "Inside repro.serve, process primitives are flagged too: the "
-        "serving layer is threads-only and must not quietly grow a "
-        "process tier.  Telemetry's internal locks are the sanctioned "
-        "exception, suppressed with a reason.")
+        "GRIMP is one multi-task fit, and this reproduction fits, "
+        "pre-computes EmbDI and serves in one process.  repro.serve "
+        "owns the thread side, where its invariants can be audited "
+        "(engine lock -> batcher state lock; never hold a lock across "
+        "a blocking wait).  No package owns a process side: "
+        "multiprocessing and concurrent.futures are flagged in every "
+        "package, repro.serve and repro.parallel included.  "
+        "Determinism needs no workers: repro.sampling and "
+        "repro.embeddings draw one child seed per fixed shard from "
+        "repro.parallel.spawn_seeds, so their output depends only on "
+        "the shard plan.  Telemetry's internal locks are the "
+        "sanctioned thread exception, suppressed with a reason.")
 
     _MODULES = ("threading", "_thread", "queue", "multiprocessing",
                 "concurrent.futures", "concurrent")
     _PROCESS_MODULES = ("multiprocessing", "concurrent.futures",
                         "concurrent")
-
-    def applies_to(self, module: str) -> bool:
-        return not in_package(module, "repro.parallel")
 
     def check(self, context: LintContext) -> list[Finding]:
         in_serve = in_package(context.module, SERVE_PACKAGE)
@@ -258,24 +251,20 @@ class RawThreading(Rule):
                 if name not in self._MODULES \
                         and root not in self._MODULES:
                     continue
-                is_process = name in self._PROCESS_MODULES \
-                    or root in self._PROCESS_MODULES
-                if in_serve and not is_process:
-                    continue  # threads are repro.serve's to own
-                if in_serve:
+                if name in self._PROCESS_MODULES \
+                        or root in self._PROCESS_MODULES:
                     findings.append(self.finding(
                         context, node,
-                        f"import of {name!r} in repro.serve, which "
-                        f"owns threads only; process lifecycle belongs "
-                        f"in repro.parallel"))
-                else:
+                        f"import of {name!r}: repro runs in one "
+                        f"process, so no package may start processes "
+                        f"or process pools"))
+                elif not in_serve:
                     findings.append(self.finding(
                         context, node,
-                        f"import of {name!r} outside "
-                        f"repro.serve/repro.parallel; keep thread "
-                        f"concurrency in the serving layer and process "
-                        f"pools in repro.parallel (or suppress with a "
-                        f"reason if this module owns a sanctioned lock)"))
+                        f"import of {name!r} outside repro.serve; keep "
+                        f"thread concurrency in the serving layer (or "
+                        f"suppress with a reason if this module owns a "
+                        f"sanctioned lock)"))
         return findings
 
 
@@ -444,7 +433,7 @@ class SharedWriteSafety(ProjectRule):
     title = "write into a shared-memory view without an intervening copy"
     severity = "error"
     rationale = (
-        "Views from attach_shared / FrozenGraph.arrays() / a worker's "
+        "Views from attach_shared / an .arrays() pack / a worker's "
         "views parameter alias one shared segment across every "
         "process; an item assignment, augmented assignment, out=, or "
         "in-place method (.fill/.sort) on one is a cross-process race "
@@ -510,39 +499,4 @@ class RngProvenance(ProjectRule):
                         f"visible provenance from spawn_seeds or the "
                         f"config seed; derive it from the seed tree so "
                         f"runs stay bisectable"))
-        return findings
-
-
-@register
-class ResourceLifecycle(ProjectRule):
-    """RPR010 — pools/segments/pipes created without managed disposal."""
-
-    code = "RPR010"
-    title = "process resource created without close/unlink on all paths"
-    severity = "error"
-    rationale = (
-        "ShardPool, SharedArrays, SharedMemory, Pool, Pipe, and "
-        "Process own OS state (POSIX shm segments, file descriptors, "
-        "child processes) that outlives the interpreter if not "
-        "released — leaked /dev/shm segments from a crashed run are "
-        "exactly the failure the resource_tracker warnings flag.  "
-        "Create them under `with`, close in try/finally, or hand "
-        "ownership to an object/ caller that does (storing to an "
-        "attribute, returning, or passing onward counts as the "
-        "transfer).")
-
-    def check_project(self, project, taint) -> list[Finding]:
-        findings = []
-        for module in sorted(project.modules):
-            summary = project.modules[module]
-            for local in sorted(summary.functions):
-                function = summary.functions[local]
-                qualname = f"{module}.{local}"
-                for kind, line, col in function.leaked_resources:
-                    findings.append(self.finding_at(
-                        summary.path, line, col,
-                        f"{kind} created in {qualname} with no with-"
-                        f"block, try/finally disposal, or ownership "
-                        f"transfer on some path; its OS state leaks if "
-                        f"this frame unwinds"))
         return findings

@@ -21,9 +21,8 @@ Taint tags
 Expression values are abstracted to small sets of string tags:
 
 * ``"shared"`` — the value is (or contains) a shared-memory view:
-  the result of :func:`repro.parallel.attach_shared`, a
-  ``FrozenGraph.arrays()``-style ``.arrays()`` call, or anything
-  derived from one by aliasing (subscripts, tuple packing).
+  the result of an ``attach_shared(...)`` or ``.arrays()`` call, or
+  anything derived from one by aliasing (subscripts, tuple packing).
 * ``"seeded"`` — the value derives from the deterministic seed tree:
   ``spawn_seeds``, ``SeedSequence``, ``.spawn()`` children, or a
   name/attribute that is visibly seed-like (``seed``, ``rng``,
@@ -59,8 +58,7 @@ MODULE_BODY = "<module>"
 #: Callables whose *result* is a pack of shared-memory views.
 _SHARED_SOURCES = ("attach_shared",)
 
-#: Method names whose call result is a shared-array pack
-#: (``FrozenGraph.arrays()`` and the ``SharedArrays.specs`` family).
+#: Method names whose call result is a shared-array pack.
 _SHARED_METHODS = ("arrays",)
 
 #: Callables whose result carries seed provenance.
@@ -78,15 +76,6 @@ _MUTATOR_METHODS = ("fill", "sort", "put", "partition", "itemset",
 #: now exists in this frame" (RPR007 raw material).
 _THREAD_FACTORIES = ("Thread", "Lock", "RLock", "Condition", "Event",
                      "Semaphore", "BoundedSemaphore", "Barrier", "Timer")
-
-#: Resource constructors whose instances own OS state that must be
-#: released (RPR010 raw material), matched on the last dotted component.
-_RESOURCE_KINDS = ("ShardPool", "SharedArrays", "SharedMemory", "Pool",
-                   "Pipe", "Process")
-
-#: Method calls that count as releasing a tracked resource.
-_DISPOSE_METHODS = ("close", "terminate", "unlink", "shutdown", "stop",
-                    "join", "release")
 
 
 def seedish(name: str) -> bool:
@@ -164,9 +153,6 @@ class FunctionSummary:
     #: ``(line, col, api, tags)`` — seeded-RNG constructions whose seed
     #: argument's provenance the fixpoint must resolve.
     rng_calls: list[tuple] = field(default_factory=list)
-    #: ``(kind, line, col)`` — resources created here with no visible
-    #: disposal, escape, or ``with`` management.
-    leaked_resources: list[tuple] = field(default_factory=list)
     #: Tags of every returned expression, for ``ret:`` resolution.
     return_tags: list[str] = field(default_factory=list)
 
@@ -179,8 +165,6 @@ class FunctionSummary:
                 "shared_writes": [list(entry)
                                   for entry in self.shared_writes],
                 "rng_calls": [list(entry) for entry in self.rng_calls],
-                "leaked_resources": [list(entry)
-                                     for entry in self.leaked_resources],
                 "return_tags": self.return_tags}
 
     @classmethod
@@ -195,8 +179,6 @@ class FunctionSummary:
                            for entry in doc["shared_writes"]],
             rng_calls=[(entry[0], entry[1], entry[2], list(entry[3]))
                        for entry in doc["rng_calls"]],
-            leaked_resources=[tuple(entry)
-                              for entry in doc["leaked_resources"]],
             return_tags=list(doc["return_tags"]))
 
 
@@ -292,9 +274,6 @@ class _FunctionAnalyzer:
         self.summary = summary
         self.env: dict[str, set] = {name: {param_tag(name)}
                                     for name in summary.params}
-        #: local resource name -> (kind, line, col); pruned on disposal
-        #: or escape, flushed into ``leaked_resources`` at the end.
-        self.resources: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # Name resolution
@@ -437,8 +416,6 @@ class _FunctionAnalyzer:
     def run(self, body: list) -> None:
         for statement in body:
             self.visit(statement)
-        for name, (kind, line, col) in sorted(self.resources.items()):
-            self.summary.leaked_resources.append((kind, line, col))
 
     def visit(self, node: ast.stmt) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -458,17 +435,14 @@ class _FunctionAnalyzer:
                 for tag in sorted(self.tags_of(node.value)):
                     if tag not in self.summary.return_tags:
                         self.summary.return_tags.append(tag)
-                self._mark_escapes(node.value)
         elif isinstance(node, ast.Expr):
             self._scan_expression(node.value)
         elif isinstance(node, ast.With) or isinstance(node, ast.AsyncWith):
             for item in node.items:
                 self._scan_expression(item.context_expr)
-                self._dispose_named(item.context_expr)
                 if item.optional_vars is not None:
                     self._assign_single(item.optional_vars,
-                                        item.context_expr,
-                                        with_managed=True)
+                                        item.context_expr)
             for statement in node.body:
                 self.visit(statement)
         elif isinstance(node, ast.For) or isinstance(node, ast.AsyncFor):
@@ -487,16 +461,13 @@ class _FunctionAnalyzer:
             for statement in node.body + node.orelse:
                 self.visit(statement)
         elif isinstance(node, ast.Try):
-            in_finally_before = getattr(self, "_in_finally", False)
             for statement in node.body + node.orelse:
                 self.visit(statement)
             for handler in node.handlers:
                 for statement in handler.body:
                     self.visit(statement)
-            self._in_finally = True
             for statement in node.finalbody:
                 self.visit(statement)
-            self._in_finally = in_finally_before
         elif isinstance(node, (ast.Delete, ast.Assert, ast.Raise)):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.expr):
@@ -541,57 +512,17 @@ class _FunctionAnalyzer:
             self.summary.shared_writes.append(
                 (node.lineno, node.col_offset, detail, sorted(relevant)))
 
-    def _assign_single(self, target: ast.AST, value: ast.expr,
-                       with_managed: bool = False) -> None:
+    def _assign_single(self, target: ast.AST, value: ast.expr) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = self.tags_of(value)
-            self.resources.pop(target.id, None)
-            if not with_managed:
-                kind = self._resource_kind(value)
-                if kind is not None:
-                    self.resources[target.id] = (
-                        kind, value.lineno, value.col_offset)
         elif isinstance(target, (ast.Tuple, ast.List)):
             value_tags = self.tags_of(value)
-            kind = self._resource_kind(value)
             for element in target.elts:
                 if isinstance(element, ast.Name):
                     self.env[element.id] = set(value_tags)
-                    self.resources.pop(element.id, None)
-                    if kind is not None and not with_managed:
-                        self.resources[element.id] = (
-                            kind, value.lineno, value.col_offset)
                 elif isinstance(element, ast.Starred) \
                         and isinstance(element.value, ast.Name):
                     self.env[element.value.id] = set(value_tags)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            # Ownership escapes into an object (``self._pack = ...``):
-            # lifecycle is that object's concern, not this frame's.
-            self._mark_escapes(value)
-
-    def _resource_kind(self, value: ast.expr) -> str | None:
-        if not isinstance(value, ast.Call):
-            return None
-        dotted = self.resolve(value.func)
-        if dotted is None:
-            return None
-        last = dotted.rsplit(".", 1)[-1]
-        return last if last in _RESOURCE_KINDS else None
-
-    def _dispose_named(self, expr: ast.expr) -> None:
-        """A ``with <name>`` (or disposal method) releases the resource."""
-        if isinstance(expr, ast.Name):
-            self.resources.pop(expr.id, None)
-        elif isinstance(expr, ast.Call) \
-                and isinstance(expr.func, ast.Attribute) \
-                and isinstance(expr.func.value, ast.Name):
-            self.resources.pop(expr.func.value.id, None)
-
-    def _mark_escapes(self, expr: ast.expr) -> None:
-        """Names referenced by ``expr`` no longer belong to this frame."""
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name):
-                self.resources.pop(node.id, None)
 
     # ------------------------------------------------------------------
     # Expression scan: call sites + event extraction
@@ -650,10 +581,6 @@ class _FunctionAnalyzer:
         if attr in _MUTATOR_METHODS and isinstance(func, ast.Attribute):
             tags = self.tags_of(func.value)
             self._record_write(node, f".{attr}() on a shared view", tags)
-        # Disposal calls release tracked resources.
-        if attr in _DISPOSE_METHODS and isinstance(func, ast.Attribute) \
-                and isinstance(func.value, ast.Name):
-            self.resources.pop(func.value.id, None)
         # Seeded-RNG constructions with an explicit argument; the
         # zero-argument form is RPR005's per-file business.
         if name in ("default_rng", "RandomState") and node.args:
@@ -662,10 +589,6 @@ class _FunctionAnalyzer:
                 tags |= self.tags_of(argument)
             self.summary.rng_calls.append(
                 (node.lineno, node.col_offset, name, sorted(tags)))
-        # Arguments passed onward escape this frame's ownership.
-        for argument in list(node.args) + \
-                [keyword.value for keyword in node.keywords]:
-            self._mark_escapes(argument)
 
     def _function_reference(self, node: ast.expr) -> str | None:
         if isinstance(node, (ast.Name, ast.Attribute)):

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of fitting")
 
     lint = commands.add_parser(
-        "lint", help="run the project lint rules (RPR001..RPR010) and "
+        "lint", help="run the project lint rules (RPR001..RPR009) and "
                      "optionally shape/dtype-check a checkpoint")
     lint.add_argument("paths", nargs="*",
                       help="files or directories to lint (default: the "
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                       action=argparse.BooleanOptionalAction,
                       default=True,
                       help="run the whole-repo call-graph/taint rules "
-                           "RPR007..RPR010 (on by default)")
+                           "RPR007..RPR009 (on by default)")
     lint.add_argument("--cache", default=None, metavar="DIR",
                       help="incremental lint cache directory (also "
                            "REPRO_LINT_CACHE); warm runs re-parse only "

@@ -35,8 +35,10 @@ def fill_missing(dirty: Table, node_matrix: np.ndarray, predict: Predict,
     Missing cells are grouped by column (in ``missing_cells`` order) and
     ``predict`` runs once per column on the rows' slice of
     ``node_matrix`` (:func:`~repro.core.model.build_node_index_matrix`
-    of the normalized table).  Categorical columns without an observed
-    domain stay missing and are never predicted.
+    of the normalized table).  Columns with no observed value at fit
+    time stay missing and are never predicted: a categorical column
+    without an observed domain, or a numerical one the normalizer has
+    no statistics for.
 
     When ``scores`` is given it receives a confidence per filled cell:
     the softmax probability of the written value for categorical cells,
@@ -49,8 +51,10 @@ def fill_missing(dirty: Table, node_matrix: np.ndarray, predict: Predict,
         by_column.setdefault(column, []).append(row)
     for column, rows in by_column.items():
         categorical = dirty.is_categorical(column)
-        if categorical and encoders.cardinality(column) == 0:
-            continue  # no observed domain to impute from
+        observed = encoders.cardinality(column) > 0 if categorical \
+            else column in normalizer.means
+        if not observed:
+            continue  # nothing observed to impute from
         with no_grad():
             output = predict(column,
                              node_matrix[np.asarray(rows, dtype=np.int64)])

@@ -26,7 +26,10 @@ class NumericNormalizer:
     """Per-column z-score normalizer fitted on non-missing values.
 
     Columns with zero variance are scaled by 1 to avoid division by zero
-    (their normalized values are all 0).
+    (their normalized values are all 0).  A column with no observed
+    value gets no statistics: :meth:`transform` leaves its cells alone,
+    and GRIMP's fill leaves it missing (as it does a categorical column
+    with no observed domain).
     """
 
     def __init__(self):
@@ -35,17 +38,18 @@ class NumericNormalizer:
         self._fitted = False
 
     def fit(self, table: Table) -> "NumericNormalizer":
-        """Estimate mean/std of every numerical column.
+        """Estimate mean/std of every numerical column with an observed
+        value (columns without one get no entry in ``means``/``stds``).
 
         A ``nan``/``inf`` cell would poison the statistics and every
         imputed value, so it raises (:func:`require_finite`).
         """
+        self.means, self.stds = {}, {}
         for name in table.numerical_columns:
             values = np.array([require_finite(name, row, v)
                                for row, v in enumerate(table.column(name))
                                if v is not MISSING], dtype=float)
             if values.size == 0:
-                self.means[name], self.stds[name] = 0.0, 1.0
                 continue
             mean = float(values.mean())
             std = float(values.std())
@@ -63,6 +67,8 @@ class NumericNormalizer:
         self._require_fitted()
         out = table.copy()
         for name in table.numerical_columns:
+            if name not in self.means:
+                continue  # nothing observed at fit time
             mean, std = self.means[name], self.stds[name]
             column = out.column(name)
             for row in range(out.n_rows):
@@ -84,6 +90,8 @@ class NumericNormalizer:
         self._require_fitted()
         out = table.copy()
         for name in table.numerical_columns:
+            if name not in self.means:
+                continue  # transform left it alone
             column = out.column(name)
             for row in range(out.n_rows):
                 if column[row] is not MISSING:

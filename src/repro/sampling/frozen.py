@@ -35,9 +35,8 @@ class FrozenGraph:
     Build with :meth:`freeze` from the ``edge type -> csr_matrix``
     mapping produced by :func:`repro.gnn.column_adjacencies` (row
     normalization, self-loops included — the exact operators full-graph
-    training multiplies by).  All arrays are plain numpy, so a frozen
-    graph can travel through :class:`repro.parallel.SharedArrays`
-    without copies when partitioned training lands.
+    training multiplies by).  The snapshot is read-only: sampling
+    slices it and never writes back.
     """
 
     def __init__(self, n_nodes: int, edge_types: list[str],
@@ -108,36 +107,6 @@ class FrozenGraph:
         ends = indptr[1:][occupied] - 1
         totals = np.repeat(segment_cum[ends], degrees[occupied])
         return owners + segment_cum / totals
-
-    # ------------------------------------------------------------------
-    # Shared-memory plumbing (repro.parallel.SharedArrays-compatible)
-    # ------------------------------------------------------------------
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Flat arrays keyed for :class:`repro.parallel.SharedArrays`."""
-        out: dict[str, np.ndarray] = {}
-        for position, edge_type in enumerate(self.edge_types):
-            indptr, indices, weights, keys = self.csr[edge_type]
-            prefix = f"sample_et{position}"
-            out[f"{prefix}_indptr"] = indptr
-            out[f"{prefix}_indices"] = indices
-            out[f"{prefix}_weights"] = weights
-            out[f"{prefix}_keys"] = keys
-        return out
-
-    @classmethod
-    def from_arrays(cls, edge_types: list[str],
-                    arrays: Mapping[str, np.ndarray]) -> "FrozenGraph":
-        """Rebuild from an :meth:`arrays` mapping (worker side)."""
-        csr = {}
-        n_nodes = 0
-        for position, edge_type in enumerate(edge_types):
-            prefix = f"sample_et{position}"
-            indptr = arrays[f"{prefix}_indptr"]
-            csr[edge_type] = (indptr, arrays[f"{prefix}_indices"],
-                              arrays[f"{prefix}_weights"],
-                              arrays[f"{prefix}_keys"])
-            n_nodes = indptr.shape[0] - 1
-        return cls(n_nodes, edge_types, csr)
 
     def __repr__(self) -> str:
         edges = sum(self.csr[et][1].shape[0] for et in self.edge_types)

@@ -35,13 +35,21 @@ from ..tensor import Tensor, no_grad
 __all__ = ["InferenceEngine", "records_to_table", "table_to_records"]
 
 
+def _bad_cell(position: int, column: str, value, expected: str
+              ) -> ValueError:
+    return ValueError(f"row {position}, column {column!r}: {value!r} is "
+                      f"not {expected}")
+
+
 def records_to_table(records: list[dict], columns: list[str],
                      kinds: dict[str, str]) -> Table:
     """Build a schema-conforming :class:`Table` from JSON-style records.
 
     Missing keys and ``None`` values become the missing sentinel;
     numerical cells are coerced to float (numeric strings included) so
-    HTTP clients can send either ``3.5`` or ``"3.5"``.
+    HTTP clients can send either ``3.5`` or ``"3.5"``.  A cell that is
+    not a JSON scalar of its column's kind (an array or object, or a
+    boolean in a numerical column) raises ``ValueError`` naming it.
     """
     data: dict[str, list] = {column: [] for column in columns}
     for position, record in enumerate(records):
@@ -56,16 +64,20 @@ def records_to_table(records: list[dict], columns: list[str],
             if value is None:
                 data[column].append(MISSING)
             elif kinds[column] == "numerical":
+                if isinstance(value, bool):
+                    raise _bad_cell(position, column, value, "numerical")
                 try:
                     number = float(value)
                 except (TypeError, ValueError):
-                    raise ValueError(
-                        f"row {position}, column {column!r}: "
-                        f"{value!r} is not numerical") from None
+                    raise _bad_cell(position, column, value,
+                                    "numerical") from None
                 data[column].append(require_finite(column, position,
                                                    number))
-            else:
+            elif isinstance(value, (str, int, float)):
                 data[column].append(value)
+            else:
+                raise _bad_cell(position, column, value,
+                                "a categorical value")
     if not records:
         raise ValueError("no rows to impute")
     return Table(data, kinds=dict(kinds))

@@ -279,13 +279,12 @@ class Tracer:
                **attrs) -> None:
         """Fold externally timed work into this tracer's aggregation.
 
-        For work measured in *another process* — a pool worker times
-        its phases on its own tracer and the parent records the summed
-        durations here — where a ``with tracer.span(...)`` block cannot
-        wrap the work.  The entry nests under the current span stack
-        (so recording inside ``fit/train/epoch`` yields
-        ``fit/train/epoch/<name>``), adds ``seconds``/``count``
-        to the exact per-path aggregate, and retains one finished span
+        For work timed outside this tracer — durations measured
+        elsewhere and summed — where a ``with tracer.span(...)`` block
+        cannot wrap the work.  The entry nests under the current span
+        stack (so recording inside ``fit/train/epoch`` yields
+        ``fit/train/epoch/<name>``), adds ``seconds``/``count`` to the
+        exact per-path aggregate, and retains one finished span
         carrying ``attrs`` for tree rendering.
         """
         if "/" in name:

@@ -4,9 +4,9 @@ Pass 1 (:mod:`repro.analysis.summaries`) is tested on synthetic
 sources; pass 2 (:mod:`repro.analysis.callgraph` +
 :mod:`repro.analysis.taint`) on small multi-module projects; and the
 final class runs both passes over the real ``src/repro`` tree and pins
-the facts the rules depend on — the registered worker entries and the
-shared-taint chain from ``ShardPool``/``parallel_map`` registrations
-into worker parameters.
+the facts the clean lint baseline rests on: the package runs in one
+process, so it registers no worker entry and no parameter carries a
+shared-memory view.
 """
 
 from pathlib import Path
@@ -112,30 +112,6 @@ class TestSummaries:
         assert by_line[3] == ["param:payload"]
         assert "seeded" in by_line[4]
         assert by_line[5] == ["const"]
-
-    def test_resource_leak_vs_disposal_and_escape(self):
-        summary = summarize(
-            "from repro.parallel import SharedArrays\n"
-            "def leaks(arrays):\n"
-            "    pack = SharedArrays(arrays)\n"
-            "    return 1\n"
-            "def closes(arrays):\n"
-            "    pack = SharedArrays(arrays)\n"
-            "    try:\n"
-            "        return 1\n"
-            "    finally:\n"
-            "        pack.close()\n"
-            "def escapes(arrays):\n"
-            "    return SharedArrays(arrays)\n"
-            "def managed(arrays):\n"
-            "    with SharedArrays(arrays) as pack:\n"
-            "        return pack\n")
-        assert [entry[0] for entry
-                in summary.functions["leaks"].leaked_resources] == \
-            ["SharedArrays"]
-        assert summary.functions["closes"].leaked_resources == []
-        assert summary.functions["escapes"].leaked_resources == []
-        assert summary.functions["managed"].leaked_resources == []
 
     def test_statement_spans_cover_multiline_and_decorated(self):
         summary = summarize(
@@ -269,20 +245,16 @@ class TestRealRepo:
         project = link(summaries)
         return project, propagate(project)
 
-    def test_known_worker_entries_detected(self):
-        # The EmbDI pre-compute runs in one process; the entry left is
-        # the worker loop ShardPool starts with Process(target=...).
+    def test_src_registers_no_worker_entry(self):
+        # Fits, the EmbDI pre-compute and serving run in one process:
+        # nothing in src/ hands a function to a process registrar.
         project, _ = self._project()
-        expected = {"repro.parallel.pool._shard_worker_main"}
-        assert expected <= set(project.worker_entries)
+        assert project.worker_entries == {}
 
     def test_shared_views_params_resolved(self):
-        # No function in src/ takes a shared-view pack as a parameter:
-        # ShardPool's worker loop attaches its views into a local.
+        # No function in src/ takes a shared-view pack as a parameter.
         # TestCallGraph's fixtures still exercise parameter resolution.
-        project, taint = self._project()
-        assert project.worker_entries[
-            "repro.parallel.pool._shard_worker_main"].shared_param is None
+        _, taint = self._project()
         assert taint.shared_params == {}
 
     def test_serve_is_not_fork_reachable(self):

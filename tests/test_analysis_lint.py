@@ -31,7 +31,7 @@ class TestEngine:
     def test_all_rules_registered(self):
         assert sorted(all_rules()) == [
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR009", "RPR010"]
+            "RPR007", "RPR008", "RPR009"]
 
     def test_get_rule_unknown_raises(self):
         with pytest.raises(KeyError, match="RPR999"):
@@ -130,11 +130,11 @@ class TestFloat64Drift:
         assert lint_source(source, module="repro.datasets") == []
 
     def test_embedding_and_parallel_packages_in_scope(self):
-        # The embedding pre-compute and worker pool feed the hot path,
-        # so dtype discipline applies there too.
+        # The embedding pre-compute and the seed tree feed the hot
+        # path, so dtype discipline applies there too.
         source = "x = np.float64(3.0)\n"
         for module in ("repro.embeddings.sgns", "repro.embeddings.walks",
-                       "repro.parallel.pool"):
+                       "repro.parallel"):
             findings = lint_source(source, module=module)
             assert codes(findings) == ["RPR001"], module
 
@@ -203,12 +203,14 @@ class TestRawThreading:
         source = "import threading\nimport queue\n"
         assert lint_source(source, module="repro.serve.batcher") == []
 
-    def test_parallel_package_is_exempt(self):
-        # repro.parallel is the second sanctioned concurrency home
-        # (process pools + shared memory for the embedding pre-compute).
-        source = ("import multiprocessing\n"
-                  "from multiprocessing import shared_memory\n")
-        assert lint_source(source, module="repro.parallel.pool") == []
+    def test_parallel_package_is_not_exempt(self):
+        # repro.parallel holds only the seed tree: like every other
+        # package, it may not start processes or share memory.
+        for module in ("repro.parallel", "repro.parallel.shards"):
+            for statement in ("import multiprocessing",
+                              "from multiprocessing import shared_memory"):
+                findings = lint_source(statement + "\n", module=module)
+                assert codes(findings) == ["RPR004"], (module, statement)
 
     def test_multiprocessing_still_flagged_elsewhere(self):
         findings = lint_source("import multiprocessing\n",
@@ -227,10 +229,9 @@ class TestRawThreading:
                 ["RPR004"], module
 
     def test_process_primitives_flagged_in_threaded_serve_modules(self):
-        # Inside repro.serve, threads are sanctioned but the process
-        # side belongs to repro.parallel: an ad-hoc process tier in
-        # e.g. the batcher would dodge the supervision and
-        # shared-memory lifetime audit.
+        # Inside repro.serve, threads are sanctioned but processes are
+        # not: the serving tier, like every package, runs in one
+        # process.
         for statement in ("import multiprocessing",
                           "from multiprocessing import shared_memory",
                           "from concurrent.futures import "
@@ -252,8 +253,8 @@ class TestRawThreading:
                 assert codes(findings) == ["RPR004"], (module, statement)
 
     def test_distributed_exemption_does_not_leak(self):
-        # The exemptions are packages, not words: training code outside
-        # repro.parallel still may not grow a pool.
+        # The thread exemption is a package, not a word: training code
+        # may not grow a pool or a thread tier.
         for module in ("repro.core.trainer", "repro.tensor.tensor",
                        "repro.sampling.minibatch"):
             findings = lint_source("import multiprocessing\n",

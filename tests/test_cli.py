@@ -249,13 +249,13 @@ class TestLintCommand:
                                                             tmp_path):
         package = tmp_path / "repro" / "core"
         package.mkdir(parents=True)
-        source = package / "leak.py"
+        source = package / "shared.py"
         source.write_text(
-            "from repro.parallel import SharedArrays\n"
-            "def run(arrays):\n"
-            "    pack = SharedArrays(arrays)\n"
-            "    return 1\n")
-        assert main(["lint", str(source)]) == 1  # RPR010 fires
+            "from repro.parallel import attach_shared\n"
+            "def worker(specs):\n"
+            "    views = attach_shared(specs)\n"
+            "    views['x'][0] = 1.0\n")
+        assert main(["lint", str(source)]) == 1  # RPR008 fires
         assert main(["lint", "--no-interprocedural", str(source)]) == 0
 
     def test_clean_source_exits_zero(self, tmp_path, capsys):

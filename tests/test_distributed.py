@@ -1,13 +1,10 @@
-"""Tests for the training step and the pool building blocks.
+"""Tests for the one training step and one-process sampled training.
 
-Sampled training and the EmbDI pre-compute run in one process; what
-remains here is the training step and the pool building blocks:
+Sampled training and the EmbDI pre-compute run in one process:
 
 * the one training step applies the allocator setting, and a sampled
   epoch steps every scheduled batch — even one with no real context;
-* `ShardPool` rejects a worker count below 1 and returns results in
-  task order with per-worker persistent state, and `Tracer.record`
-  folds externally timed work into the aggregate;
+* `Tracer.record` folds externally timed work into the aggregate;
 * a fit reports no data-parallel phases.
 """
 
@@ -19,8 +16,6 @@ from repro.core import GrimpConfig, GrimpImputer
 from repro.core import trainer as trainer_module
 from repro.corruption import inject_mcar
 from repro.data import Table
-from repro.parallel import (BENCH_CORES_ENV, ShardPool,
-                            schedulable_cores)
 from repro.telemetry import Tracer
 
 
@@ -86,85 +81,6 @@ class TestKeepFreedPages:
                                  np.random.default_rng(1))
         GrimpImputer(config).impute(corruption.dirty)
         assert len(calls) == 2  # one full-graph step per epoch
-
-
-# ---------------------------------------------------------------------------
-# ShardPool
-# ---------------------------------------------------------------------------
-
-def _double(task, views, state):
-    return task * 2
-
-
-def _with_state(task, views, state):
-    return task + state["offset"] + int(views["base"][0])
-
-
-def _make_state(views, payload):
-    return {"offset": payload["offset"]}
-
-
-def _fail_on_three(task, views, state):
-    if task == 3:
-        raise ValueError("task three is cursed")
-    return task
-
-
-class TestShardPool:
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError, match="worker count"):
-            ShardPool(_double, workers=0)
-
-    def test_serial_path_runs_in_process(self):
-        with ShardPool(_double, workers=1) as pool:
-            assert pool.run([1, 2, 3]) == [2, 4, 6]
-
-    def test_results_in_task_order(self):
-        with ShardPool(_double, workers=2) as pool:
-            assert pool.run(range(20)) == [2 * n for n in range(20)]
-
-    def test_init_state_and_shared_views_reach_fn(self):
-        shared = {"base": np.array([10.0])}
-        with ShardPool(_with_state, workers=2, shared=shared,
-                       init_fn=_make_state,
-                       payload={"offset": 100}) as pool:
-            assert pool.run([1, 2]) == [111, 112]
-        with ShardPool(_with_state, workers=1, shared=shared,
-                       init_fn=_make_state,
-                       payload={"offset": 100}) as pool:
-            assert pool.run([1, 2]) == [111, 112]
-
-    def test_task_error_surfaces_without_killing_pool(self):
-        with ShardPool(_fail_on_three, workers=2) as pool:
-            with pytest.raises(RuntimeError, match="task 1 failed"):
-                pool.run([1, 3, 5])
-            # The workers survived the failure and keep serving.
-            assert pool.run([7, 8]) == [7, 8]
-
-    def test_close_is_idempotent_and_run_after_close_raises(self):
-        pool = ShardPool(_double, workers=2)
-        pool.close()
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.run([1])
-
-
-class TestSchedulableCores:
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv(BENCH_CORES_ENV, "7")
-        assert schedulable_cores() == 7
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(BENCH_CORES_ENV, "zero")
-        with pytest.raises(ValueError, match=BENCH_CORES_ENV):
-            schedulable_cores()
-        monkeypatch.setenv(BENCH_CORES_ENV, "0")
-        with pytest.raises(ValueError, match=BENCH_CORES_ENV):
-            schedulable_cores()
-
-    def test_detects_at_least_one_core(self, monkeypatch):
-        monkeypatch.delenv(BENCH_CORES_ENV, raising=False)
-        assert schedulable_cores() >= 1
 
 
 # ---------------------------------------------------------------------------

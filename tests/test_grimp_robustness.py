@@ -150,12 +150,38 @@ class TestDegenerateSchemas:
         for row, record in enumerate(served):
             for column in ("c", "z"):
                 assert record[column] == expected.get(row, column)
-            assert np.isfinite(record["z"])
+            assert record["z"] is None
+
+    def test_fully_missing_numerical_column_left_missing(self, path,
+                                                         tmp_path):
+        rng = np.random.default_rng(0)
+        kinds = {"c": "categorical", "z": "numerical"}
+        table = Table({"c": [f"v{rng.integers(0, 3)}" for _ in range(20)],
+                       "z": [MISSING] * 20}, kinds=kinds)
+        table.set(3, "c", MISSING)
+        imputer = GrimpImputer(GrimpConfig(**TINY, **path))
+        imputed = imputer.impute(table)
+        # No observed value exists for "z": its cells stay missing, as
+        # an all-missing categorical column's do, while "c" still fills.
+        assert all(imputed.is_missing(row, "z") for row in range(20))
+        assert not imputed.is_missing(3, "c")
+
+        new = Table({"c": ["v1", MISSING], "z": [2.5, MISSING]},
+                    kinds=kinds)
+        fresh = imputer.impute_new_rows(new)
+        assert fresh.get(0, "z") == 2.5  # observed input passes through
+        assert fresh.is_missing(1, "z")
+        assert not fresh.is_missing(1, "c")
+
+        imputer.save_checkpoint(tmp_path / "model.ckpt")
+        restored = GrimpImputer.from_checkpoint(tmp_path / "model.ckpt")
+        assert restored.impute_new_rows(new).equals(fresh)
 
 
 class TestNonFiniteInput:
     """``nan``/``inf`` numerics fail with the offending cell named on
-    every input surface, instead of poisoning the column's fill."""
+    every input surface, instead of poisoning the column's fill; so do
+    served cells that are not a scalar of their column's kind."""
 
     @pytest.mark.parametrize("value", ["nan", float("inf"), "-Infinity"])
     def test_records_rejected(self, value):
@@ -164,6 +190,22 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match=r"row 1, column 'x'"):
             records_to_table([{"x": 1.0}, {"x": value}], ["x"],
                              {"x": "numerical"})
+
+    @pytest.mark.parametrize("kind,value,expected", [
+        ("categorical", ["a"], "is not a categorical value"),
+        ("categorical", {"a": 1}, "is not a categorical value"),
+        ("numerical", True, "is not numerical"),
+        ("numerical", False, "is not numerical"),
+    ], ids=["array", "object", "true", "false"])
+    def test_malformed_records_rejected(self, kind, value, expected):
+        # A JSON array or object would crash the node lookup inside the
+        # batcher, and a JSON boolean would be imputed as 1.0 or 0.0.
+        from repro.serve import records_to_table
+
+        with pytest.raises(ValueError,
+                           match=rf"row 1, column 'x': .* {expected}"):
+            records_to_table([{"x": None}, {"x": value}], ["x"],
+                             {"x": kind})
 
     def test_cli_impute_reports_the_cell(self, tmp_path, capsys):
         from repro.cli import main

@@ -62,7 +62,7 @@ FIXTURES = {
         ],
         "false": [
             ("repro.serve.batcher", "import threading\n"),
-            ("repro.parallel.x", "import multiprocessing\n"),
+            ("repro.serve.server", "import queue\n"),
         ],
     },
     "RPR005": {
@@ -213,48 +213,6 @@ FIXTURES = {
              "import numpy as np\n"
              "def make(seed):\n"
              "    return np.random.default_rng(seed)\n"),
-        ],
-    },
-    "RPR010": {
-        # Process resources with no disposal or ownership transfer.
-        "true": [
-            ("repro.core.x",
-             "from repro.parallel import SharedArrays\n"
-             "def run(arrays):\n"
-             "    pack = SharedArrays(arrays)\n"
-             "    return 1\n"),
-            ("repro.serve.x",
-             "import multiprocessing\n"
-             "def run(n):\n"
-             "    pool = multiprocessing.Pool(n)\n"
-             "    return n\n"),
-        ],
-        "false": [
-            # with-managed.
-            ("repro.core.x",
-             "from repro.parallel import SharedArrays\n"
-             "def run(arrays):\n"
-             "    with SharedArrays(arrays) as pack:\n"
-             "        return pack.specs\n"),
-            # try/finally disposal.
-            ("repro.core.x",
-             "from repro.parallel import SharedArrays\n"
-             "def run(arrays):\n"
-             "    pack = SharedArrays(arrays)\n"
-             "    try:\n"
-             "        return 1\n"
-             "    finally:\n"
-             "        pack.close()\n"),
-            # Ownership transfer: returned / stored on an object.
-            ("repro.core.x",
-             "from repro.parallel import SharedArrays\n"
-             "def make(arrays):\n"
-             "    return SharedArrays(arrays)\n"),
-            ("repro.core.x",
-             "from repro.parallel import SharedArrays\n"
-             "class Holder:\n"
-             "    def __init__(self, arrays):\n"
-             "        self._pack = SharedArrays(arrays)\n"),
         ],
     },
 }

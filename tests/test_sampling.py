@@ -3,7 +3,7 @@
 Four layers of guarantees, bottom-up:
 
 * `FrozenGraph` snapshots are faithful (rows match the scipy matrices,
-  search keys stay float64 and sorted, shared-memory round-trip).
+  search keys stay float64 and sorted).
 * `NeighborSampler` is exact at fanout 0 (full-graph rows verbatim)
   and a bounded, deterministic, unbiased estimator at finite fanouts;
   the operators it assembles equal scipy's COO -> CSR build array for
@@ -105,16 +105,6 @@ class TestFrozenGraph:
         frozen = FrozenGraph.freeze(adjacencies, dtype=np.float32)
         for edge_type in frozen.edge_types:
             assert frozen.csr[edge_type][2].dtype == np.float32
-
-    def test_arrays_round_trip(self):
-        frozen = FrozenGraph.freeze(random_adjacencies())
-        rebuilt = FrozenGraph.from_arrays(frozen.edge_types,
-                                          frozen.arrays())
-        assert rebuilt.n_nodes == frozen.n_nodes
-        for edge_type in frozen.edge_types:
-            for original, copy in zip(frozen.csr[edge_type],
-                                      rebuilt.csr[edge_type]):
-                np.testing.assert_array_equal(original, copy)
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValueError, match="empty"):

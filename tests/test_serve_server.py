@@ -170,6 +170,18 @@ class TestEndpoints:
         assert status == 400
         assert "row 0, column 'population'" in payload["error"]
 
+    @pytest.mark.parametrize("cell,expected", [
+        ({"city": ["paris"]}, "column 'city': ['paris'] is not a "
+                              "categorical value"),
+        ({"population": True}, "column 'population': True is not "
+                               "numerical"),
+    ], ids=["array-in-categorical", "bool-in-numerical"])
+    def test_malformed_cell_400(self, server, cell, expected):
+        row = {"city": "paris", "country": None, "population": None}
+        status, payload = post(server, "/impute", {"row": {**row, **cell}})
+        assert status == 400
+        assert f"row 0, {expected}" in payload["error"]
+
 
 class TestConcurrentClients:
     def test_parallel_requests_all_answered(self, server):

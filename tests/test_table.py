@@ -179,6 +179,16 @@ class TestNormalizer:
         back = normalizer.inverse_transform(normalizer.transform(table))
         assert back.equals(table)
 
+    def test_all_missing_column_gets_no_statistics(self):
+        normalizer = NumericNormalizer().fit(
+            Table({"x": [1.0, 3.0], "z": [MISSING, MISSING]}))
+        assert "z" not in normalizer.means
+        # A later table's observed cell passes through both directions.
+        table = Table({"x": [2.0, MISSING], "z": [2.5, MISSING]})
+        normalized = normalizer.transform(table)
+        assert normalized.get(0, "z") == 2.5
+        assert normalizer.inverse_transform(normalized).equals(table)
+
     def test_constant_column_safe(self):
         table = Table({"x": [5.0, 5.0, 5.0]})
         normalized = NumericNormalizer().fit_transform(table)
